@@ -198,7 +198,7 @@ fn bench_ensemble_fused(c: &mut Criterion) {
     let int8 = ensemble.fused_calibrated(&plans);
     let mut arena = InferenceArena::new();
     c.bench_function("ensemble_sequential_batch64", |b| {
-        b.iter(|| ensemble.predict_plans_arena(black_box(&plans), &mut arena))
+        b.iter(|| ensemble.predict_plans_sequential(black_box(&plans), &mut arena))
     });
     c.bench_function("ensemble_fused_batch64", |b| {
         b.iter(|| fused.predict_plans_arena(black_box(&plans), &mut arena))

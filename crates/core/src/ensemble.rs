@@ -4,12 +4,26 @@
 //! metric that differ only in their random initialization seed. At
 //! inference time regression predictions are averaged and classification
 //! predictions are combined by majority vote.
+//!
+//! # One inference engine
+//!
+//! * **Serving, any k ≥ 1:** every combined prediction
+//!   ([`Ensemble::predict_graphs`], [`Ensemble::predict_items`], the
+//!   serving layer) runs on the member-fused view ([`FusedEnsemble`],
+//!   see [`crate::fused`]). The ensemble stacks it on first use and
+//!   caches it; members are private and never change after construction,
+//!   so the view never goes stale. It is not serialized.
+//! * **Training:** the tape (`GnnModel::forward_with_plan`), one member at
+//!   a time.
+//! * **Oracle:** [`Ensemble::predict_plans_sequential`] runs the members
+//!   one after another through `GnnModel::forward_inference`. It exists
+//!   so tests and benches can pin the fused view bitwise against it.
 
 use crate::dataset::{Corpus, CorpusItem};
 use crate::fused::{FusedEnsemble, Precision};
 use crate::graph::{Featurization, JointGraph};
-use crate::model::{inference_chunk, ModelConfig};
-use crate::plan::{BatchPlan, PlanCache};
+use crate::model::{ModelConfig, INFERENCE_CHUNK};
+use crate::plan::BatchPlan;
 #[cfg(test)]
 use crate::train::train_metric;
 use crate::train::{prepare_training, train_prepared, TrainConfig, TrainedModel};
@@ -17,6 +31,7 @@ use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// An ensemble of models for one cost metric.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -24,6 +39,9 @@ pub struct Ensemble {
     /// The metric all members predict.
     pub metric: CostMetric,
     members: Vec<TrainedModel>,
+    /// The member-fused exact view, stacked on first use.
+    #[serde(skip)]
+    fused: OnceLock<FusedEnsemble>,
 }
 
 impl Ensemble {
@@ -43,7 +61,7 @@ impl Ensemble {
             .into_par_iter()
             .map(|i| train_prepared(&prepared, metric, &cfg.with_seed(cfg.seed.wrapping_add(1 + i as u64))))
             .collect();
-        Ensemble { metric, members }
+        Self::from_members(members)
     }
 
     /// Wraps already-trained models.
@@ -54,7 +72,11 @@ impl Ensemble {
         assert!(!members.is_empty(), "empty ensemble");
         let metric = members[0].metric;
         assert!(members.iter().all(|m| m.metric == metric), "mixed-metric ensemble");
-        Ensemble { metric, members }
+        Ensemble {
+            metric,
+            members,
+            fused: OnceLock::new(),
+        }
     }
 
     /// Number of ensemble members.
@@ -83,55 +105,53 @@ impl Ensemble {
     /// metrics, the majority-vote probability (fraction of members voting
     /// positive) for classification metrics.
     ///
-    /// Chunk plans are built once (in parallel) and shared by every
-    /// member; members then run the tape-free fast path in parallel.
+    /// Graphs are split into [`INFERENCE_CHUNK`]-wide chunks, scored in
+    /// parallel; each chunk builds its plan and runs every member at once
+    /// through the cached fused view on its own arena.
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        self.predict_graphs_with(graphs, None)
-    }
-
-    /// Like [`Ensemble::predict_graphs`], but chunk plan *topologies* are
-    /// looked up in (and inserted into) the given [`PlanCache`], so
-    /// recurring graph shapes skip plan construction entirely.
-    pub fn predict_graphs_with(&self, graphs: &[&JointGraph], cache: Option<&PlanCache>) -> Vec<f64> {
+        let fused = self.fused();
         let cfg = self.model_config();
-        let (scheme, rounds) = (cfg.scheme, cfg.traditional_rounds);
-        let plans: Vec<BatchPlan> = graphs
-            .par_chunks(inference_chunk())
-            .map(|chunk| match cache {
-                Some(c) => c.get_or_build(chunk, scheme, rounds),
-                None => self.members[0].model().plan(chunk),
+        graphs
+            .par_chunks(INFERENCE_CHUNK)
+            .map(|chunk| {
+                let plan = BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds);
+                fused.predict_plans_arena(std::slice::from_ref(&plan), &mut InferenceArena::new())
             })
-            .collect();
-        let per_member: Vec<Vec<f64>> = self.members.par_iter().map(|m| m.predict_plans(&plans)).collect();
-        self.combine(&per_member, graphs.len())
+            .collect::<Vec<Vec<f64>>>()
+            .concat()
     }
 
-    /// Combined prediction for prebuilt chunk plans, with members run
-    /// *sequentially* on a caller-held arena — the serving-layer hot
-    /// path: one coalesced batch serves every member, the worker's buffer
-    /// pool is recycled across requests, and no nested thread fan-out
-    /// competes with other serving workers.
-    ///
-    /// The arithmetic (kernels, accumulation order, member combination)
-    /// is identical to [`Ensemble::predict_graphs`] on the same chunk
-    /// plans, so the two paths agree bitwise.
-    pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
+    /// Combined prediction for corpus items (see [`Ensemble::predict_graphs`]).
+    pub fn predict_items(&self, items: &[&CorpusItem]) -> Vec<f64> {
+        let graphs = CorpusItem::featurize_all(items, self.featurization());
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        self.predict_graphs(&refs)
+    }
+
+    /// The test oracle: combined prediction for prebuilt chunk plans with
+    /// the members run one after another through
+    /// `GnnModel::forward_inference`. The fused view is bitwise identical
+    /// to this loop at [`Precision::Exact`]; nothing outside tests and
+    /// benches should call it.
+    pub fn predict_plans_sequential(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
         let n = plans.iter().map(BatchPlan::len).sum();
         let per_member: Vec<Vec<f64>> = self
             .members
             .iter()
-            .map(|m| m.predict_plans_arena(plans, arena))
+            .map(|m| {
+                let raw = plans
+                    .iter()
+                    .flat_map(|p| m.model().forward_inference(p, arena))
+                    .collect();
+                m.denormalize(raw)
+            })
             .collect();
         self.combine(&per_member, n)
     }
 
     /// Mean (regression) or majority-vote fraction (classification) over
-    /// per-member predictions. One pass per member vector instead of the
-    /// previous column-major walk (which chased `k` separate allocations
-    /// per output element); the per-element summation order is unchanged
-    /// (member-ascending, f64 accumulator — storing and reloading an f64
-    /// between member passes does not round), so results stay bitwise
-    /// identical.
+    /// per-member predictions: one pass per member vector, each element
+    /// summed member-ascending in an f64 accumulator.
     fn combine(&self, per_member: &[Vec<f64>], n: usize) -> Vec<f64> {
         let k = self.members.len();
         if self.metric.is_regression() {
@@ -156,14 +176,14 @@ impl Ensemble {
         }
     }
 
-    /// Builds the member-fused inference view of this ensemble (exact
-    /// f32 weights — bitwise identical to [`Ensemble::predict_plans_arena`],
-    /// see [`crate::fused`]).
-    pub fn fused(&self) -> FusedEnsemble {
-        FusedEnsemble::build(self, Precision::Exact)
+    /// The cached member-fused inference view (exact f32 weights — bitwise
+    /// identical to [`Ensemble::predict_plans_sequential`], see
+    /// [`crate::fused`]). Stacked on the first call.
+    pub fn fused(&self) -> &FusedEnsemble {
+        self.fused.get_or_init(|| FusedEnsemble::build(self, Precision::Exact))
     }
 
-    /// Builds the member-fused view at an explicit serving precision.
+    /// Builds a fresh member-fused view at an explicit serving precision.
     /// [`Precision::Int8`] trades bitwise identity for quantized weights;
     /// it is opt-in and callers must gate it with a q-error check.
     /// Prefer [`Ensemble::fused_calibrated`] when representative plans
@@ -176,22 +196,8 @@ impl Ensemble {
     /// against the activations the model produces on `plans` (greedy
     /// data-aware rounding; see [`crate::fused`]). Still approximate —
     /// gate behind a q-error bound like any int8 view.
-    pub fn fused_calibrated(&self, plans: &[crate::plan::BatchPlan]) -> FusedEnsemble {
+    pub fn fused_calibrated(&self, plans: &[BatchPlan]) -> FusedEnsemble {
         FusedEnsemble::build_calibrated(self, plans)
-    }
-
-    /// Combined prediction for corpus items.
-    pub fn predict_items(&self, items: &[&CorpusItem]) -> Vec<f64> {
-        self.predict_items_with(items, None)
-    }
-
-    /// Combined prediction for corpus items, routed through the same
-    /// shared-plan chunked path as [`Ensemble::predict_graphs_with`] —
-    /// recurring item shapes reuse cached plan topologies.
-    pub fn predict_items_with(&self, items: &[&CorpusItem], cache: Option<&PlanCache>) -> Vec<f64> {
-        let graphs = CorpusItem::featurize_all(items, self.featurization());
-        let refs: Vec<&JointGraph> = graphs.iter().collect();
-        self.predict_graphs_with(&refs, cache)
     }
 }
 

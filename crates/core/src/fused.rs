@@ -1,21 +1,26 @@
-//! Member-fused ensemble inference (the serving hot path).
+//! Member-fused ensemble inference: the one inference engine.
 //!
-//! [`crate::ensemble::Ensemble::predict_plans_arena`] runs its `k`
-//! seed-varied members sequentially: every member repeats the *same*
+//! The rule: the fused view serves every prediction for any k ≥ 1, the
+//! tape trains, and the sequential member loop
+//! ([`Ensemble::predict_plans_sequential`]) is the test oracle.
+//! [`Ensemble::predict_graphs`] runs on the ensemble's cached exact view
+//! ([`Ensemble::fused`]), and the serving layer runs
+//! [`FusedEnsemble::predict_plans_arena`] on its own view.
+//!
+//! Run one member at a time and every member repeats the *same*
 //! plan-dependent bookkeeping — encoder scatter-adds, per-wave
 //! gather/segment-sum assembly of `[Σ_children ‖ own]`, target-row
 //! scatters, readout pooling — because only the weights differ between
-//! members. [`FusedEnsemble`] restructures that loop: the members'
-//! weight matrices are stacked column-wise
-//! ([`costream_nn::fused::StackedMlp`]), the hidden state becomes one
-//! member-major `[nodes, k·hidden]` matrix, and each wave runs **one
-//! wider matmul per layer** while all bookkeeping executes once per
+//! members. [`FusedEnsemble`] stacks the members' weight matrices
+//! column-wise ([`costream_nn::fused::StackedMlp`]), so the hidden state
+//! becomes one member-major `[nodes, k·hidden]` matrix, each wave runs
+//! **one wider matmul per layer**, and all bookkeeping executes once per
 //! batch instead of `k` times.
 //!
-//! # Bitwise identity with the sequential path
+//! # Bitwise identity with the oracle
 //!
 //! With [`Precision::Exact`] the fused path is **bitwise identical** to
-//! `Ensemble::predict_plans_arena` on the same plans:
+//! `Ensemble::predict_plans_sequential` on the same plans:
 //!
 //! * every matmul preserves the sequential kernels' per-element
 //!   accumulation order and dispatch tier: member-blocked calls run at
@@ -42,8 +47,8 @@
 //! # Precision ladder
 //!
 //! * [`Precision::Exact`] (default) — f32 weights, bitwise-equal to the
-//!   sequential ensemble. Safe everywhere; this is what serving workers
-//!   run unless told otherwise.
+//!   oracle. Safe everywhere; this is what every prediction and every
+//!   serving worker runs unless told otherwise.
 //! * [`Precision::Int8`] (opt-in) — per-output-channel symmetric int8
 //!   weight quantization of the **GNN body** (encoders + updaters) with
 //!   f32 accumulation and exact f32 biases (dequantized at each layer
@@ -61,14 +66,13 @@
 use crate::dataset::{Corpus, CorpusItem};
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::graph::{Featurization, JointGraph};
-use crate::model::{inference_chunk, ModelConfig};
+use crate::model::{ModelConfig, INFERENCE_CHUNK};
 use crate::plan::BatchPlan;
 use costream_dsps::{CostMetric, SimConfig};
 use costream_nn::fused::{MlpObs, StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::{InferenceArena, Tensor};
 use costream_query::ranges::FeatureRanges;
-use rayon::prelude::*;
 
 /// Numeric precision of the fused serving path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,9 +133,9 @@ impl EnsembleObs {
 /// A member-fused inference view over a trained [`Ensemble`].
 ///
 /// Holds stacked copies of the members' weights (the ensemble itself is
-/// untouched and stays the training/golden ground truth). Build one per
-/// serving worker pool via [`Ensemble::fused`] and reuse it — stacking
-/// copies every parameter once.
+/// untouched and stays the training ground truth). [`Ensemble::fused`]
+/// stacks the exact view once and caches it; the other builders return
+/// a fresh view — stacking copies every parameter once.
 #[derive(Clone, Debug)]
 pub struct FusedEnsemble {
     metric: CostMetric,
@@ -263,9 +267,8 @@ impl FusedEnsemble {
     }
 
     /// Combined ensemble prediction for prebuilt chunk plans on a
-    /// caller-held arena — the fused drop-in for
-    /// [`Ensemble::predict_plans_arena`] (bitwise identical at
-    /// [`Precision::Exact`]).
+    /// caller-held arena (bitwise identical to
+    /// [`Ensemble::predict_plans_sequential`] at [`Precision::Exact`]).
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
         let n: usize = plans.iter().map(BatchPlan::len).sum();
         let mut flat = Vec::with_capacity(n * self.k);
@@ -286,17 +289,6 @@ impl FusedEnsemble {
             arena.recycle(raw);
         }
         combine_member_major(self.metric, self.k, &flat)
-    }
-
-    /// Combined prediction for prepared graphs (plans built here, chunked
-    /// at [`inference_chunk`]).
-    pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
-        let plans: Vec<BatchPlan> = graphs
-            .par_chunks(inference_chunk())
-            .map(|chunk| BatchPlan::build(chunk, scheme, rounds))
-            .collect();
-        self.predict_plans_arena(&plans, &mut InferenceArena::new())
     }
 
     /// One fused forward pass: returns the member-major raw outputs
@@ -465,7 +457,7 @@ pub fn int8_self_test(ensemble: &Ensemble) -> Int8SelfTest {
         let graphs = CorpusItem::featurize_all(&items, ensemble.featurization());
         let cfg = ensemble.model_config();
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        refs.chunks(inference_chunk())
+        refs.chunks(INFERENCE_CHUNK)
             .map(|chunk| BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds))
             .collect()
     };

@@ -12,7 +12,6 @@ use crate::graph::JointGraph;
 use crate::plan::BatchPlan;
 use costream_nn::{InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape};
 use costream_query::features::NodeType;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Message-passing scheme (Exp 7b ablation, Fig. 13).
@@ -313,48 +312,6 @@ impl GnnModel {
         result
     }
 
-    /// Raw scalar outputs for a batch of graphs (log-space cost or logit,
-    /// depending on what the model was trained for).
-    ///
-    /// Runs on the tape-free fast path; large batches are split into
-    /// chunks evaluated in parallel.
-    pub fn predict_raw(&self, graphs: &[&JointGraph]) -> Vec<f32> {
-        let chunk = inference_chunk();
-        if graphs.len() <= chunk {
-            let plan = self.plan(graphs);
-            let mut arena = InferenceArena::new();
-            return self.forward_inference(&plan, &mut arena);
-        }
-        graphs
-            .par_chunks(chunk)
-            .map(|chunk| {
-                let plan = self.plan(chunk);
-                let mut arena = InferenceArena::new();
-                self.forward_inference(&plan, &mut arena)
-            })
-            .collect::<Vec<Vec<f32>>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Raw outputs for a set of prebuilt chunk plans (used by ensembles to
-    /// share plan construction across members).
-    pub fn predict_raw_plans(&self, plans: &[BatchPlan]) -> Vec<f32> {
-        self.predict_raw_plans_arena(plans, &mut InferenceArena::new())
-    }
-
-    /// Like [`GnnModel::predict_raw_plans`] but on a caller-held arena, so
-    /// a serving worker reuses one buffer pool across requests instead of
-    /// reallocating per call.
-    pub fn predict_raw_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f32> {
-        let mut out = Vec::new();
-        for plan in plans {
-            out.extend(self.forward_inference(plan, arena));
-        }
-        out
-    }
-
     fn check_plan(&self, plan: &BatchPlan) {
         assert_eq!(
             plan.topo.scheme, self.config.scheme,
@@ -372,61 +329,11 @@ impl GnnModel {
 /// Graphs per inference chunk: big enough to amortize plan construction,
 /// small enough to parallelize candidate scoring across cores. The
 /// serving layer chunks its coalesced batches at the same width so served
-/// results are bitwise identical to the direct prediction path.
-///
-/// This is the *default*; [`inference_chunk`] lets wider runners override
-/// it per process via `COSTREAM_INFERENCE_CHUNK`. Per-graph predictions
-/// are bitwise independent of how graphs are chunked into batches (graphs
-/// only interact through per-graph segment sums), so sweeping the chunk
-/// size changes throughput, never results.
+/// results are bitwise identical to the direct prediction path. Per-graph
+/// predictions do not depend on how graphs are chunked into batches
+/// (graphs only interact through per-graph segment sums), so the width
+/// changes throughput, never results.
 pub const INFERENCE_CHUNK: usize = 64;
-
-/// An invalid `COSTREAM_INFERENCE_CHUNK` setting.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChunkConfigError {
-    /// A chunk size of zero would make chunked iteration diverge.
-    Zero,
-    /// The value did not parse as an unsigned integer.
-    Invalid(String),
-}
-
-impl std::fmt::Display for ChunkConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChunkConfigError::Zero => write!(f, "chunk size must be at least 1"),
-            ChunkConfigError::Invalid(v) => write!(f, "not an unsigned integer: {v:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ChunkConfigError {}
-
-/// Parses an inference chunk-size override. `None` (variable unset) means
-/// the [`INFERENCE_CHUNK`] default; `Some` must be a positive integer.
-pub fn parse_inference_chunk(raw: Option<&str>) -> Result<usize, ChunkConfigError> {
-    match raw {
-        None => Ok(INFERENCE_CHUNK),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(0) => Err(ChunkConfigError::Zero),
-            Ok(n) => Ok(n),
-            Err(_) => Err(ChunkConfigError::Invalid(v.to_string())),
-        },
-    }
-}
-
-/// The effective graphs-per-chunk width: `COSTREAM_INFERENCE_CHUNK` when
-/// set and valid, [`INFERENCE_CHUNK`] otherwise (invalid settings warn on
-/// stderr rather than aborting a serving process).
-pub fn inference_chunk() -> usize {
-    let raw = std::env::var("COSTREAM_INFERENCE_CHUNK").ok();
-    match parse_inference_chunk(raw.as_deref()) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("warning: ignoring COSTREAM_INFERENCE_CHUNK: {e}");
-            INFERENCE_CHUNK
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -448,12 +355,17 @@ mod tests {
             .collect()
     }
 
+    /// Raw outputs for one monolithic plan on the tape-free path.
+    fn raw(model: &GnnModel, graphs: &[&JointGraph]) -> Vec<f32> {
+        model.forward_inference(&model.plan(graphs), &mut InferenceArena::new())
+    }
+
     #[test]
     fn forward_produces_one_output_per_graph() {
         let gs = graphs(5, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -463,7 +375,7 @@ mod tests {
         let gs = graphs(3, Featurization::QueryOnly);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -473,7 +385,7 @@ mod tests {
         let gs = graphs(3, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default().with_scheme(Scheme::Traditional));
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -483,9 +395,9 @@ mod tests {
         let gs = graphs(4, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let batched = model.predict_raw(&refs);
+        let batched = raw(&model, &refs);
         for (i, g) in gs.iter().enumerate() {
-            let single = model.predict_raw(&[g]);
+            let single = raw(&model, &[g]);
             assert!(
                 (batched[i] - single[0]).abs() < 1e-4,
                 "graph {i}: batched {} vs single {}",
@@ -500,7 +412,7 @@ mod tests {
         let gs = graphs(1, Featurization::Full);
         let a = GnnModel::new(ModelConfig::default().with_seed(1));
         let b = GnnModel::new(ModelConfig::default().with_seed(2));
-        assert_ne!(a.predict_raw(&[&gs[0]]), b.predict_raw(&[&gs[0]]));
+        assert_ne!(raw(&a, &[&gs[0]]), raw(&b, &[&gs[0]]));
     }
 
     #[test]
@@ -517,8 +429,8 @@ mod tests {
         let g1 = JointGraph::build(&q, &c, &p1, &sels, Featurization::Full);
         let g2 = JointGraph::build(&q, &c, &p2, &sels, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
-        let o1 = model.predict_raw(&[&g1]);
-        let o2 = model.predict_raw(&[&g2]);
+        let o1 = raw(&model, &[&g1]);
+        let o2 = raw(&model, &[&g2]);
         assert_ne!(o1, o2);
     }
 
@@ -535,6 +447,6 @@ mod tests {
         let json = serde_json::to_string(&model).expect("serialize");
         let restored: GnnModel = serde_json::from_str(&json).expect("deserialize");
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        assert_eq!(model.predict_raw(&refs), restored.predict_raw(&refs));
+        assert_eq!(raw(&model, &refs), raw(&restored, &refs));
     }
 }

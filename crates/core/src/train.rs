@@ -3,7 +3,7 @@
 
 use crate::dataset::{Corpus, CorpusItem};
 use crate::graph::{Featurization, JointGraph};
-use crate::model::{GnnModel, ModelConfig};
+use crate::model::{GnnModel, ModelConfig, INFERENCE_CHUNK};
 use crate::plan::BatchPlan;
 use crate::qerror::{accuracy, QErrorSummary};
 use costream_dsps::CostMetric;
@@ -13,6 +13,7 @@ use costream_nn::{Gradients, InferenceArena, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
@@ -81,9 +82,18 @@ pub struct TrainedModel {
 impl TrainedModel {
     /// Predicts the metric for prepared joint graphs: original cost units
     /// for regression metrics, probability of the positive class for
-    /// classification metrics. Runs on the tape-free inference fast path.
+    /// classification metrics. Runs on the tape-free inference fast path,
+    /// one plan per [`INFERENCE_CHUNK`] graphs, chunks in parallel.
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw(graphs))
+        let raw = graphs
+            .par_chunks(INFERENCE_CHUNK)
+            .map(|chunk| {
+                self.model
+                    .forward_inference(&self.model.plan(chunk), &mut InferenceArena::new())
+            })
+            .collect::<Vec<Vec<f32>>>()
+            .concat();
+        self.denormalize(raw)
     }
 
     /// The underlying GNN (exposed for plan construction and diagnostics).
@@ -91,27 +101,18 @@ impl TrainedModel {
         &self.model
     }
 
-    /// Predicts the metric for prebuilt chunk plans (lets ensembles share
-    /// plan construction across members).
-    pub fn predict_plans(&self, plans: &[BatchPlan]) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw_plans(plans))
-    }
-
-    /// Like [`TrainedModel::predict_plans`] but on a caller-held arena,
-    /// so serving workers recycle one buffer pool across requests.
-    pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw_plans_arena(plans, arena))
-    }
-
     /// `(target_mean, target_std)` of the training-set `log1p` targets —
-    /// what [`TrainedModel::predict_plans_arena`] applies before
-    /// `msle_inverse`. Exposed so [`crate::fused`] can replicate the
-    /// denormalization bit for bit.
+    /// what [`TrainedModel::denormalize`] applies before `msle_inverse`.
+    /// Exposed so [`crate::fused`] can replicate the denormalization bit
+    /// for bit.
     pub(crate) fn denorm_params(&self) -> (f32, f32) {
         (self.target_mean, self.target_std)
     }
 
-    fn denormalize(&self, raw: Vec<f32>) -> Vec<f64> {
+    /// Maps raw network outputs to predictions: `msle_inverse` of the
+    /// de-standardized log target for regression, `sigmoid` of the logit
+    /// for classification.
+    pub(crate) fn denormalize(&self, raw: Vec<f32>) -> Vec<f64> {
         raw.into_iter()
             .map(|z| {
                 if self.metric.is_regression() {
@@ -370,7 +371,9 @@ pub fn mean_loss(model: &TrainedModel, corpus: &Corpus) -> f32 {
     if refs.is_empty() {
         return 0.0;
     }
-    let raw = model.model.predict_raw(&refs);
+    let raw = model
+        .model
+        .forward_inference(&model.model.plan(&refs), &mut InferenceArena::new());
     let pred = Tensor::from_vec(raw.len(), 1, raw);
     if model.metric.is_regression() {
         let targets: Vec<f32> = items

@@ -6,8 +6,12 @@
 //! across epochs, batch orders and ensemble members.
 
 use costream::graph::{Featurization, JointGraph};
-use costream::model::{GnnModel, ModelConfig, Scheme};
+use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
+use costream::test_fixtures;
+use costream::train::{train_metric, TrainConfig};
+use costream_dsps::CostMetric;
+use costream_nn::loss::sigmoid;
 use costream_nn::InferenceArena;
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
@@ -74,20 +78,38 @@ fn forward_inference_matches_tape_without_hosts() {
     assert_close(&golden, &fast, 1e-5, "query-only");
 }
 
-/// predict_raw (chunked, parallel) must agree with a single monolithic
-/// tape forward across chunk boundaries.
+/// Chunked inference must agree with a single monolithic tape forward
+/// across chunk boundaries, and `TrainedModel::predict_graphs` (chunked,
+/// parallel) must be exactly that chunked inference. The tape check
+/// stays in raw-logit terms; the classification model's predictions are
+/// then pinned bitwise to `sigmoid` of the chunked logits.
 #[test]
-fn chunked_predict_raw_matches_tape() {
-    let gs = graphs(70, 11, Featurization::Full); // spans the 64-graph chunk size
+fn chunked_predict_graphs_matches_tape() {
+    let cfg = TrainConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    let trained = train_metric(&test_fixtures::corpus(32, 78), CostMetric::Success, &cfg);
+    let gs = graphs(INFERENCE_CHUNK + 6, 11, Featurization::Full);
     let refs: Vec<&JointGraph> = gs.iter().collect();
-    let model = GnnModel::new(ModelConfig::default());
-    let fast = model.predict_raw(&refs);
+    let model = trained.model();
+    let mut arena = InferenceArena::new();
+    let chunked: Vec<f32> = refs
+        .chunks(INFERENCE_CHUNK)
+        .flat_map(|c| model.forward_inference(&model.plan(c), &mut arena))
+        .collect();
     let plan = model.plan(&refs);
     let (tape, out) = model.forward_with_plan(&plan);
     let golden = tape.value(out).data().to_vec();
     // Chunking changes batch composition, not per-graph results: readout
     // sums are per graph, so outputs must agree graph by graph.
-    assert_close(&golden, &fast, 1e-4, "chunked");
+    assert_close(&golden, &chunked, 1e-4, "chunked");
+    let expected: Vec<f64> = chunked.iter().map(|&z| sigmoid(z) as f64).collect();
+    assert_eq!(
+        trained.predict_graphs(&refs),
+        expected,
+        "predict_graphs is the chunked forward"
+    );
 }
 
 /// A plan reused across shuffled "epochs" must keep producing identical

@@ -1,18 +1,19 @@
 //! Golden tests for member-fused ensemble inference.
 //!
 //! The fused path ([`costream::fused::FusedEnsemble`]) must be **bitwise
-//! identical** to the sequential `Ensemble::predict_plans_arena` at
-//! [`Precision::Exact`] — across random plan topologies, batch sizes,
-//! member counts and both message-passing schemes — and stay within a
-//! q-error bound of the exact path at [`Precision::Int8`].
+//! identical** to the sequential oracle
+//! `Ensemble::predict_plans_sequential` at [`Precision::Exact`] — across
+//! random plan topologies, batch sizes, member counts and both
+//! message-passing schemes — and stay within a q-error bound of the exact
+//! path at [`Precision::Int8`].
 
 use costream::ensemble::Ensemble;
 use costream::fused::Precision;
 use costream::graph::{Featurization, JointGraph};
-use costream::model::{parse_inference_chunk, ChunkConfigError, Scheme, INFERENCE_CHUNK};
+use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
+use costream::test_fixtures;
 use costream::train::TrainConfig;
-use costream::{test_fixtures, Corpus};
 use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use costream_query::generator::WorkloadGenerator;
@@ -104,7 +105,7 @@ proptest! {
         let e = sub_ensemble(regression_ensemble(scheme), k);
         let gs = graphs(n, seed);
         let plans = plans_for(&e, &gs);
-        let seq = e.predict_plans_arena(&plans, &mut InferenceArena::new());
+        let seq = e.predict_plans_sequential(&plans, &mut InferenceArena::new());
         let fused = e.fused().predict_plans_arena(&plans, &mut InferenceArena::new());
         prop_assert_eq!(fused.len(), seq.len());
         for (i, (f, s)) in fused.iter().zip(&seq).enumerate() {
@@ -128,7 +129,7 @@ fn fused_matches_sequential_classification() {
     for (round, &(n, seed)) in [(17usize, 300u64), (1, 301), (33, 302)].iter().enumerate() {
         let gs = graphs(n, seed);
         let plans = plans_for(e, &gs);
-        let seq = e.predict_plans_arena(&plans, &mut seq_arena);
+        let seq = e.predict_plans_sequential(&plans, &mut seq_arena);
         let f = fused.predict_plans_arena(&plans, &mut fused_arena);
         assert_bitwise_eq(&f, &seq, &format!("classification round {round}"));
         // Vote fractions over 4 members quantize to quarters.
@@ -138,17 +139,19 @@ fn fused_matches_sequential_classification() {
     }
 }
 
-/// `predict_graphs` (plans built internally) agrees with the sequential
-/// graph path, and multi-chunk batches (> INFERENCE_CHUNK graphs) combine
-/// across chunk boundaries identically.
+/// `Ensemble::predict_graphs` (plans built internally, chunks scored in
+/// parallel on the cached fused view) agrees bitwise with the sequential
+/// oracle, and multi-chunk batches (> INFERENCE_CHUNK graphs) combine
+/// across chunk boundaries identically — regression and classification.
 #[test]
 fn fused_predict_graphs_matches_sequential_across_chunks() {
-    let e = regression_ensemble(Scheme::Costream);
-    let gs = graphs(INFERENCE_CHUNK + 9, 55);
-    let refs: Vec<&JointGraph> = gs.iter().collect();
-    let seq = e.predict_graphs(&refs);
-    let fused = e.fused().predict_graphs(&refs);
-    assert_bitwise_eq(&fused, &seq, "predict_graphs multi-chunk");
+    for e in [regression_ensemble(Scheme::Costream), classification_ensemble()] {
+        let gs = graphs(INFERENCE_CHUNK + 9, 55);
+        let refs: Vec<&JointGraph> = gs.iter().collect();
+        let seq = e.predict_plans_sequential(&plans_for(e, &gs), &mut InferenceArena::new());
+        let fused = e.predict_graphs(&refs);
+        assert_bitwise_eq(&fused, &seq, &format!("predict_graphs multi-chunk ({:?})", e.metric));
+    }
 }
 
 /// The one-row-pass `combine` refactor must reproduce the previous
@@ -158,12 +161,9 @@ fn combine_refactor_is_bitwise_stable() {
     for e in [regression_ensemble(Scheme::Costream), classification_ensemble()] {
         let gs = graphs(11, 91);
         let plans = plans_for(e, &gs);
-        let combined = e.predict_plans_arena(&plans, &mut InferenceArena::new());
-        let per_member: Vec<Vec<f64>> = e
-            .members()
-            .iter()
-            .map(|m| m.predict_plans_arena(&plans, &mut InferenceArena::new()))
-            .collect();
+        let combined = e.predict_plans_sequential(&plans, &mut InferenceArena::new());
+        let refs: Vec<&JointGraph> = gs.iter().collect();
+        let per_member: Vec<Vec<f64>> = e.members().iter().map(|m| m.predict_graphs(&refs)).collect();
         let k = e.members().len();
         for (i, c) in combined.iter().enumerate() {
             // The pre-refactor column-major reference combination.
@@ -225,86 +225,4 @@ fn int8_reports_quantized_footprint() {
     assert!(q.quantized_bytes() > 0);
     assert_eq!(q.precision(), Precision::Int8);
     assert_eq!(e.fused().precision(), Precision::Exact);
-}
-
-/// `COSTREAM_INFERENCE_CHUNK` parsing: default, valid override, and the
-/// typed rejections.
-#[test]
-fn inference_chunk_parsing() {
-    assert_eq!(parse_inference_chunk(None), Ok(INFERENCE_CHUNK));
-    assert_eq!(parse_inference_chunk(Some("17")), Ok(17));
-    assert_eq!(parse_inference_chunk(Some(" 128 ")), Ok(128));
-    assert_eq!(parse_inference_chunk(Some("0")), Err(ChunkConfigError::Zero));
-    assert!(matches!(
-        parse_inference_chunk(Some("lots")),
-        Err(ChunkConfigError::Invalid(_))
-    ));
-    assert!(matches!(
-        parse_inference_chunk(Some("-3")),
-        Err(ChunkConfigError::Invalid(_))
-    ));
-}
-
-/// The env override changes the effective chunking — and per-graph
-/// predictions are bitwise chunking-invariant, so results are unchanged.
-/// (Safe to toggle the variable mid-process: concurrent predictions would
-/// merely chunk differently.)
-#[test]
-fn inference_chunk_env_override() {
-    let e = regression_ensemble(Scheme::Costream);
-    let gs = graphs(13, 66);
-    let refs: Vec<&JointGraph> = gs.iter().collect();
-    let baseline = e.predict_graphs(&refs);
-
-    std::env::set_var("COSTREAM_INFERENCE_CHUNK", "5");
-    assert_eq!(costream::model::inference_chunk(), 5);
-    let overridden = e.predict_graphs(&refs);
-    std::env::set_var("COSTREAM_INFERENCE_CHUNK", "nonsense");
-    assert_eq!(costream::model::inference_chunk(), INFERENCE_CHUNK);
-    std::env::remove_var("COSTREAM_INFERENCE_CHUNK");
-    assert_eq!(costream::model::inference_chunk(), INFERENCE_CHUNK);
-
-    assert_bitwise_eq(&overridden, &baseline, "chunk-5 override");
-}
-
-/// Manual perf probe (not part of the gate — the CI-gated numbers come
-/// from `crates/bench`): prints fused vs sequential wall time at the
-/// bench shape (k=3, one cached 48-graph plan, warm arena). Run with
-/// `cargo test --release -p costream-core --test fused -- --ignored`.
-#[test]
-#[ignore]
-fn perf_probe_fused_vs_sequential() {
-    let corpus = Corpus::generate(48, 12, FeatureRanges::training(), &costream_dsps::SimConfig::default());
-    let cfg = TrainConfig {
-        epochs: 2,
-        ..Default::default()
-    };
-    let e = Ensemble::train(&corpus, CostMetric::ProcessingLatency, &cfg, 3);
-    let gs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(Featurization::Full)).collect();
-    let plans = plans_for(&e, &gs);
-    let fused = e.fused();
-    let int8 = e.fused_with_precision(Precision::Int8);
-
-    let time = |f: &mut dyn FnMut() -> Vec<f64>| {
-        for _ in 0..5 {
-            std::hint::black_box(f());
-        }
-        let iters = 30;
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
-    };
-    let mut arena = InferenceArena::new();
-    let seq_ns = time(&mut || e.predict_plans_arena(&plans, &mut arena));
-    let mut arena = InferenceArena::new();
-    let fused_ns = time(&mut || fused.predict_plans_arena(&plans, &mut arena));
-    let mut arena = InferenceArena::new();
-    let int8_ns = time(&mut || int8.predict_plans_arena(&plans, &mut arena));
-    eprintln!(
-        "sequential {seq_ns:.0} ns, fused {fused_ns:.0} ns ({:.2}x), int8 {int8_ns:.0} ns ({:.2}x)",
-        seq_ns / fused_ns,
-        seq_ns / int8_ns
-    );
 }

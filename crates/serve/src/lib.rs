@@ -48,10 +48,10 @@
 //!
 //! At the default exact precision, serving is **bitwise identical** to
 //! the direct prediction path: the worker chunks coalesced batches at
-//! the same width as `Ensemble::predict_graphs`, the fused view
-//! preserves every kernel's per-element accumulation order (see
-//! [`costream::fused`] for the identity argument), and member
-//! combination is order-identical shared code — the golden tests in
+//! the same width as `Ensemble::predict_graphs` and runs the same fused
+//! engine, every kernel's per-element accumulation order is independent
+//! of batch composition (see [`costream::fused`]), and member
+//! combination is shared code — the golden tests in
 //! `tests/golden.rs` assert exact equality under heavy concurrency for
 //! both message-passing schemes.
 //!

@@ -31,7 +31,7 @@ use crate::{ServeConfig, ServeError, SwapError};
 use costream::ensemble::Ensemble;
 use costream::fused::{int8_self_test, FusedEnsemble, Precision};
 use costream::graph::{Featurization, JointGraph};
-use costream::model::inference_chunk;
+use costream::model::INFERENCE_CHUNK;
 use costream::plan::{plan_signature, CacheStats, PlanCache, PlanSignature};
 use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
@@ -136,17 +136,17 @@ pub struct Scored {
     pub version: u64,
 }
 
-/// One immutable served-model snapshot: the ensemble, its member-fused
-/// serving view, and the version number. Workers take an
+/// One immutable served-model snapshot: the ensemble, its int8 serving
+/// view when one is active, and the version number. Workers take an
 /// `Arc<ModelState>` per batch, so a swap never tears a batch and every
 /// response is attributable to exactly one version.
 pub struct ModelState {
-    /// The served ensemble.
+    /// The served ensemble; at exact precision the workers score with
+    /// its cached member-fused view ([`Ensemble::fused`]).
     pub ensemble: Ensemble,
-    /// The member-fused view the workers actually score with — stacked
-    /// at the *effective* precision (exact, or int8 when requested and
-    /// the startup self-test passed).
-    pub fused: FusedEnsemble,
+    /// The int8 member-fused view the workers score with instead — `Some`
+    /// only when int8 was requested and the startup self-test passed.
+    pub int8: Option<FusedEnsemble>,
     /// Monotonic model version (starts at 1).
     pub version: u64,
     /// `Some(measured_q)` when int8 was requested but its self-test
@@ -155,32 +155,41 @@ pub struct ModelState {
     pub int8_fallback_q: Option<f64>,
 }
 
+impl ModelState {
+    /// The member-fused view the workers score with, at the *effective*
+    /// precision: the int8 view when active, else the ensemble's exact one.
+    fn view(&self) -> &FusedEnsemble {
+        self.int8.as_ref().unwrap_or_else(|| self.ensemble.fused())
+    }
+}
+
 /// Builds the serving view of an ensemble at the configured precision.
-/// Exact stacking is unconditional (bitwise identical to the sequential
-/// ensemble); int8 must first survive the self-test against the
-/// configured q-error bound, else the snapshot warns and serves exact
-/// f32 — a precision knob must degrade gracefully, not degrade
-/// predictions silently.
+/// The exact view is always stacked here, so no request pays for it
+/// (bitwise identical to the sequential ensemble); int8 must first
+/// survive the self-test against the configured q-error bound, else the
+/// snapshot warns and serves exact f32 — a precision knob must degrade
+/// gracefully, not degrade predictions silently.
 fn build_model(ensemble: Ensemble, cfg: &ServeConfig, version: u64) -> ModelState {
-    let (fused, int8_fallback_q) = match cfg.precision {
-        Precision::Exact => (ensemble.fused(), None),
+    ensemble.fused();
+    let (int8, int8_fallback_q) = match cfg.precision {
+        Precision::Exact => (None, None),
         Precision::Int8 => {
             let probe = int8_self_test(&ensemble);
             if probe.max_q <= cfg.int8_q_bound {
-                (probe.view, None)
+                (Some(probe.view), None)
             } else {
                 eprintln!(
                     "warning: int8 serving self-test failed (q-error {:.4} > bound {:.4}); \
                      falling back to exact f32",
                     probe.max_q, cfg.int8_q_bound
                 );
-                (ensemble.fused(), Some(probe.max_q))
+                (None, Some(probe.max_q))
             }
         }
     };
     ModelState {
         ensemble,
-        fused,
+        int8,
         version,
         int8_fallback_q,
     }
@@ -463,7 +472,7 @@ impl ScoringService {
         }
     }
 
-    /// The current served-model snapshot (ensemble + fused view +
+    /// The current served-model snapshot (ensemble + int8 view +
     /// version). The snapshot is immutable; a concurrent
     /// [`swap_model`](Self::swap_model) replaces the service's snapshot
     /// but never mutates one already handed out.
@@ -519,7 +528,7 @@ impl ScoringService {
     /// [`ServeConfig::int8_q_bound`](crate::ServeConfig::int8_q_bound);
     /// [`Precision::Exact`] otherwise.
     pub fn precision(&self) -> Precision {
-        self.shared.model().fused.precision()
+        self.shared.model().view().precision()
     }
 
     /// The q-error the int8 self-test measured when it *failed* and the
@@ -771,7 +780,7 @@ impl ScoreClient {
     /// The effective serving precision (see
     /// [`ScoringService::precision`]).
     pub fn precision(&self) -> Precision {
-        self.shared.model().fused.precision()
+        self.shared.model().view().precision()
     }
 
     /// Snapshot of the service's plan-cache counters (see
@@ -835,10 +844,6 @@ fn worker_thread(sh: &Shared) {
 /// recycled.
 fn worker_loop(sh: &Shared) {
     let mut arena = InferenceArena::new();
-    // Resolved once per worker: the chunk width is a process-wide
-    // environment knob (`COSTREAM_INFERENCE_CHUNK`), constant for the
-    // worker's lifetime.
-    let chunk_w = inference_chunk();
     while let Some(mut batch) = collect_batch(sh) {
         if batch.is_empty() {
             // Another worker drained the queue during our probe wait, or
@@ -857,7 +862,7 @@ fn worker_loop(sh: &Shared) {
         // batch composition.
         batch.sort_by_key(|r| r.sig);
         for run in batch.chunk_by(|a, b| a.sig == b.sig) {
-            for chunk in run.chunks(chunk_w) {
+            for chunk in run.chunks(INFERENCE_CHUNK) {
                 score_chunk(sh, &model, chunk, &mut arena);
             }
         }
@@ -980,11 +985,11 @@ fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: 
 /// One fused forward for a chunk: plan via the shared topology cache,
 /// then all ensemble members at once through the member-fused view on
 /// this worker's arena (bitwise identical to the sequential
-/// `Ensemble::predict_plans_arena` at exact precision — see
+/// `Ensemble::predict_plans_sequential` at exact precision — see
 /// [`costream::fused`]).
 fn score_graphs(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
     let cfg = model.ensemble.model_config();
     let graphs: Vec<&JointGraph> = chunk.iter().map(|r| r.graph.as_ref()).collect();
     let plan = sh.cache.get_or_build(&graphs, cfg.scheme, cfg.traditional_rounds);
-    model.fused.predict_plans_arena(std::slice::from_ref(&plan), arena)
+    model.view().predict_plans_arena(std::slice::from_ref(&plan), arena)
 }

@@ -14,6 +14,7 @@
 use costream::fused::int8_self_test;
 use costream::prelude::*;
 use costream::test_fixtures;
+use costream_nn::InferenceArena;
 use costream_serve::{Precision, ScoringService, ServeConfig};
 
 fn corpus(seed: u64) -> Corpus {
@@ -102,10 +103,13 @@ fn passing_self_test_serves_the_calibrated_int8_view() {
     assert_eq!(service.int8_fallback_q(), None);
 
     let client = service.client();
+    let cfg = *expected.model_config();
+    let mut arena = InferenceArena::new();
     let mut any_drift = false;
     for (i, g) in graphs.iter().enumerate() {
         let served = client.score(g.clone()).expect("service alive");
-        let want = expected.predict_graphs(&[g])[0];
+        let plan = BatchPlan::build(&[g], cfg.scheme, cfg.traditional_rounds);
+        let want = expected.predict_plans_arena(&[plan], &mut arena)[0];
         assert!(
             served == want,
             "graph {i}: served int8 {served} != independently calibrated int8 {want}"

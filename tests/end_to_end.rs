@@ -52,6 +52,28 @@ fn trained_model_survives_json_roundtrip() {
     let restored: TrainedModel = serde_json::from_str(&json).expect("deserialize");
     let items: Vec<&CorpusItem> = corpus.items.iter().take(10).collect();
     assert_eq!(model.predict_items(&items), restored.predict_items(&items));
+
+    // An ensemble stacks its fused view on the first prediction. The
+    // cached view stays out of the JSON, and neither a deserialized nor a
+    // cloned copy predicts differently from the original.
+    let quick = TrainConfig {
+        epochs: 2,
+        ..Default::default()
+    };
+    let ensemble = Ensemble::train(&corpus, CostMetric::Throughput, &quick, 2);
+    let untouched_json = serde_json::to_string(&ensemble).expect("serialize");
+    let preds = ensemble.predict_items(&items);
+    let json = serde_json::to_string(&ensemble).expect("serialize");
+    assert_eq!(json, untouched_json, "the cached view must not be serialized");
+    assert!(!json.contains("\"fused\""));
+    let restored: Ensemble = serde_json::from_str(&json).expect("deserialize");
+    for (copy, name) in [(&restored, "deserialized"), (&ensemble.clone(), "cloned")] {
+        let again = copy.predict_items(&items);
+        assert_eq!(again.len(), preds.len());
+        for (a, b) in again.iter().zip(&preds) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name} copy: {a} vs {b}");
+        }
+    }
 }
 
 #[test]
