@@ -863,8 +863,8 @@ fn bench_search_wide(c: &mut Criterion) {
         threads: Some(1),
         ..Default::default()
     };
-    // `None` resolves through COSTREAM_SEARCH_THREADS / the width
-    // heuristic: all cores at 256 hosts.
+    // `None` resolves through the width heuristic: all cores at 256
+    // hosts.
     let auto = LocalSearch::default();
 
     // --- single query on 256 hosts ---

@@ -1,36 +1,40 @@
-//! Multi-query co-placement with contention-aware scoring.
+//! Multi-query co-placement with contention-aware scoring — and the one
+//! placement-search engine.
 //!
-//! The per-query optimizer of [`crate::search`] prices each query as if
-//! it had the cluster to itself; real clusters run *many* queries at
-//! once, and co-resident operators shift each other's costs. This module
-//! optimizes a **set** of queries jointly:
+//! Real clusters run *many* queries at once, and co-resident operators
+//! shift each other's costs. This module optimizes a **set** of queries
+//! jointly, and a single-query search ([`crate::search::PlacementSearch`])
+//! is the same search over a set of one:
 //!
 //! * a [`JointSearchProblem`] bundles N queries (with their estimated
 //!   selectivities) on one shared cluster;
 //! * a [`JointScorer`] prices **host contention**: each query's joint
 //!   graph is featurized with the host rows *degraded* by co-resident
 //!   load — a host shared with other queries contributes only the
-//!   query's proportional share of its CPU/RAM/bandwidth — and scored
-//!   through any [`Scorer`] backend (the direct [`EnsembleScorer`]
-//!   (crate::search::EnsembleScorer), or `costream-serve`'s
-//!   `ServeScorer` so N tenants' candidate batches coalesce server-side;
-//!   the occupancy snapshot travels inside each request's featurized
-//!   host rows). Only the occupancy-dependent host rows differ from the
-//!   single-query featurization: the operator prefix comes from the same
-//!   per-query [`GraphTemplate`]s, via
+//!   query's share of its CPU/RAM/bandwidth — and scored through any
+//!   [`Scorer`] backend (the direct
+//!   [`EnsembleScorer`](crate::search::EnsembleScorer), or
+//!   `costream-serve`'s `ServeScorer` so N tenants' candidate batches
+//!   coalesce server-side; the occupancy snapshot travels inside each
+//!   request's featurized host rows). Only the occupancy-dependent host
+//!   rows differ from the plain featurization: the operator prefix comes
+//!   from per-query [`GraphTemplate`]s, via
 //!   [`GraphTemplate::instantiate_with_host_features`], and a host with
 //!   no external load gets the *identical* (bitwise) row — so an
 //!   uncontended joint placement scores exactly like N independent
 //!   queries, and recurring topologies keep hitting the serving layer's
 //!   plan cache;
-//! * the existing search strategies ([`RandomEnumeration`],
-//!   [`BeamSearch`], [`LocalSearch`], [`SimulatedAnnealing`]) are
-//!   adapted to the joint move space through the
-//!   [`JointPlacementSearch`] trait, walking the cross-query
-//!   relocate/swap neighborhood of
+//! * the strategies [`RandomEnumeration`], [`BeamSearch`] and
+//!   [`LocalSearch`] implement [`JointPlacementSearch`], walking the
+//!   cross-query relocate/swap neighborhood of
 //!   [`costream_query::joint::JointNeighborhood`] with incremental
 //!   validity checks per touched query and incrementally maintained
-//!   occupancy.
+//!   occupancy;
+//! * one candidate evaluator serves every strategy and [`replan`]:
+//!   budget accounting, duplicate suppression, scoring and the Fig. 4
+//!   ranking, plus an optional per-candidate penalty that `replan` fills
+//!   with the amortized migration cost. `replan` is a hill-climb on that
+//!   evaluator.
 //!
 //! Budget is counted in **joint candidates scored** (each costs N graph
 //! predictions), so a joint search at budget `B` spends the same scoring
@@ -43,10 +47,8 @@
 
 use crate::graph::{Featurization, GraphTemplate, JointGraph};
 use crate::interference::{rate_weighted_share, InterferenceModel};
-use crate::search::ranking;
 use crate::search::{
     resolve_threads, BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, Scorer, SearchStats,
-    SimulatedAnnealing,
 };
 use costream_dsps::corun::{profile_loads, OpLoad};
 use costream_dsps::{CostMetric, ExecutionProfile};
@@ -377,18 +379,19 @@ impl JointOptimizationResult {
     }
 }
 
-/// A search strategy over the joint placement space. Budget is counted
-/// in joint candidates scored (each costs one graph prediction per
-/// query). Deterministic for fixed inputs and seed, independent of the
-/// scorer's batching — exactly like [`crate::search::PlacementSearch`].
+/// A search strategy over the joint placement space — the one search
+/// engine: every implementor also answers single-query searches through
+/// [`crate::search::PlacementSearch`]. Budget is counted in joint
+/// candidates scored (each costs one graph prediction per query).
+/// Deterministic for fixed inputs and seed, independent of the scorer's
+/// batching and of the worker fan-out.
 pub trait JointPlacementSearch: Sync {
     /// Strategy name for logs and benchmarks.
     fn name(&self) -> &'static str;
 
     /// Runs the search, scoring at most `budget.max(1)` joint candidates.
-    /// (Named `search_joint` so strategy structs can implement both this
-    /// trait and [`crate::search::PlacementSearch`] without ambiguous
-    /// method calls.)
+    /// (Named `search_joint` so it never collides with the single-query
+    /// [`crate::search::PlacementSearch::search`].)
     fn search_joint(
         &self,
         problem: &JointSearchProblem<'_>,
@@ -414,9 +417,11 @@ pub trait JointPlacementSearch: Sync {
     ) -> JointOptimizationResult;
 }
 
-/// Shared joint-strategy bookkeeping, mirroring the single-query
-/// evaluator: budget accounting, duplicate suppression over flattened
-/// assignments, contention-aware scoring and the Fig. 4 selection rule.
+/// The search engine's candidate evaluator, shared by every strategy and
+/// by [`replan`]: budget accounting, duplicate suppression over flattened
+/// assignments, contention-aware scoring and the Fig. 4 selection rule
+/// (viable candidates rank before filtered ones, then by signed total
+/// cost, and the earlier-scored candidate wins ties).
 struct JointEvaluator<'a> {
     scorer: JointScorer<'a>,
     budget: usize,
@@ -424,6 +429,12 @@ struct JointEvaluator<'a> {
     evaluated: Vec<JointCandidateEvaluation>,
     threads: usize,
     stats: SearchStats,
+    /// Optional per-candidate ranking penalty, added to the signed cost
+    /// key (replan's amortized migration charge). Absent on the search
+    /// path, where the key is the signed cost itself.
+    penalty: Option<&'a dyn Fn(&JointPlacement) -> f64>,
+    /// The penalty of each evaluated candidate (empty without a penalty).
+    penalties: Vec<f64>,
 }
 
 impl<'a> JointEvaluator<'a> {
@@ -439,6 +450,8 @@ impl<'a> JointEvaluator<'a> {
             evaluated: Vec::new(),
             threads: threads.max(1),
             stats,
+            penalty: None,
+            penalties: Vec::new(),
         }
     }
 
@@ -475,31 +488,37 @@ impl<'a> JointEvaluator<'a> {
         if fresh.is_empty() {
             return Vec::new();
         }
+        if let Some(penalty) = self.penalty {
+            self.penalties.extend(fresh.iter().map(penalty));
+        }
         let start = self.evaluated.len();
         let scored = self.scorer.evaluate_with(&fresh, self.threads, &mut self.stats);
         self.evaluated.extend(scored);
         (start..self.evaluated.len()).collect()
     }
 
-    /// Signed total-cost key: lower is always better.
+    /// Ranking key: signed total cost (lower is always better), plus the
+    /// candidate's penalty when one is configured. The penalty is added
+    /// only when present, so the search-path key keeps the sign of a zero
+    /// cost (`total_cmp` orders −0.0 before +0.0).
     fn key(&self, i: usize) -> f64 {
         let total = self.evaluated[i].total_cost();
-        if self.scorer.maximize {
-            -total
-        } else {
-            total
+        let signed = if self.scorer.maximize { -total } else { total };
+        match self.penalty {
+            Some(_) => signed + self.penalties[i],
+            None => signed,
         }
     }
 
-    /// Strict "candidate `a` beats candidate `b`" on the joint
-    /// (all-viable, total signed cost) ranking (see [`ranking::better`]).
+    /// Strict "candidate `a` beats candidate `b`": viable before filtered,
+    /// then lower key. Ties are *not* better, so the first-encountered
+    /// candidate wins them — deterministic because generation order is.
     fn better(&self, a: usize, b: usize) -> bool {
-        ranking::better(
-            self.evaluated[a].all_viable(),
-            self.key(a),
-            self.evaluated[b].all_viable(),
-            self.key(b),
-        )
+        let (va, vb) = (self.evaluated[a].all_viable(), self.evaluated[b].all_viable());
+        if va != vb {
+            return va;
+        }
+        self.key(a) < self.key(b)
     }
 
     fn best_in(&self, indices: &[usize]) -> Option<usize> {
@@ -514,9 +533,18 @@ impl<'a> JointEvaluator<'a> {
         best
     }
 
-    /// The `k` best of `indices`, best first (earlier-scored wins ties).
-    fn top_of(&self, indices: Vec<usize>, k: usize) -> Vec<usize> {
-        ranking::top_of(indices, k, |i| self.evaluated[i].all_viable(), |i| self.key(i))
+    /// The `k.max(1)` best of `indices`, best first (viable before
+    /// filtered, then key, then earlier-scored wins ties).
+    fn top_of(&self, mut indices: Vec<usize>, k: usize) -> Vec<usize> {
+        let viable = |i: usize| self.evaluated[i].all_viable();
+        indices.sort_by(|&a, &b| {
+            viable(b)
+                .cmp(&viable(a))
+                .then(self.key(a).total_cmp(&self.key(b)))
+                .then(a.cmp(&b))
+        });
+        indices.truncate(k.max(1));
+        indices
     }
 
     fn finish(self) -> JointOptimizationResult {
@@ -532,6 +560,16 @@ impl<'a> JointEvaluator<'a> {
             stats: self.stats,
         }
     }
+}
+
+/// Number of exploration seeds an explore-then-refine strategy spends:
+/// `share` of `budget`, floored at `floor` (strategy-specific minimum,
+/// e.g. the beam width) and capped so at least one refinement candidate
+/// remains.
+fn seed_count(budget: usize, share: f64, floor: usize) -> usize {
+    ((budget as f64 * share.clamp(0.0, 1.0)) as usize)
+        .max(floor)
+        .min(budget.saturating_sub(1).max(1))
 }
 
 /// One joint-strategy round's neighborhood enumeration: recompute every
@@ -560,51 +598,47 @@ fn enumerate_joint_neighbors(
 
 /// Draws one random joint placement: every query sampled independently
 /// under its own Fig. 5 rules from one rng stream.
-fn sample_joint(problem: &JointSearchProblem<'_>, rng: &mut StdRng) -> Option<JointPlacement> {
-    let placements: Option<Vec<Placement>> = problem
-        .queries
-        .iter()
-        .map(|jq| sample_valid(jq.query, problem.cluster, rng))
-        .collect();
-    Some(JointPlacement::new(problem.cluster.len(), placements?))
+fn sample_joint(queries: &[&Query], cluster: &Cluster, rng: &mut StdRng) -> Option<JointPlacement> {
+    let placements: Option<Vec<Placement>> = queries.iter().map(|q| sample_valid(q, cluster, rng)).collect();
+    Some(JointPlacement::new(cluster.len(), placements?))
 }
 
 /// The always-valid joint fallback: every query co-located on the
 /// strongest host (maximum contention, but satisfies every rule).
-fn fallback_joint(problem: &JointSearchProblem<'_>) -> JointPlacement {
+fn fallback_joint(queries: &[&Query], cluster: &Cluster) -> JointPlacement {
     JointPlacement::new(
-        problem.cluster.len(),
-        problem
-            .queries
-            .iter()
-            .map(|jq| colocate_on_strongest(jq.query, problem.cluster))
-            .collect(),
+        cluster.len(),
+        queries.iter().map(|q| colocate_on_strongest(q, cluster)).collect(),
     )
 }
 
-/// Enumerates up to `k` distinct random joint placements from a seeded
-/// stream (deterministic; attempt-indexed seeds like the single-query
-/// enumeration). Falls back to the co-located placement when sampling
-/// yields nothing.
-fn enumerate_joint(problem: &JointSearchProblem<'_>, k: usize, seed: u64) -> Vec<JointPlacement> {
+/// Enumerates up to `k` distinct random joint placements satisfying the
+/// rules of Fig. 5, serially from attempt-indexed seeds (`20 k` attempts
+/// at most, so the output is a pure function of the arguments). Falls
+/// back to the co-located placement when sampling yields nothing, so the
+/// result is never empty. The one-query case is
+/// [`crate::optimizer::enumerate_candidates`].
+pub(crate) fn enumerate_joint(queries: &[&Query], cluster: &Cluster, k: usize, seed: u64) -> Vec<JointPlacement> {
     let mut out: Vec<JointPlacement> = Vec::new();
-    if k == 0 {
-        return out;
-    }
     let mut seen: HashSet<Vec<HostId>> = HashSet::new();
+    let mut flat: Vec<HostId> = Vec::new();
     for a in 0..(k * 20) as u64 {
         if out.len() >= k {
             break;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        if let Some(jp) = sample_joint(problem, &mut rng) {
-            if seen.insert(jp.flattened()) {
+        if let Some(jp) = sample_joint(queries, cluster, &mut rng) {
+            // Borrowed-slice membership: a rejected duplicate allocates
+            // nothing; only new assignments are copied into the set.
+            jp.flatten_into(&mut flat);
+            if !seen.contains(flat.as_slice()) {
+                seen.insert(flat.clone());
                 out.push(jp);
             }
         }
     }
     if out.is_empty() {
-        out.push(fallback_joint(problem));
+        out.push(fallback_joint(queries, cluster));
     }
     out
 }
@@ -616,18 +650,19 @@ fn fresh_joint_sample(
     seed: u64,
     round: u64,
 ) -> Option<JointPlacement> {
+    let refs = problem.query_refs();
     for attempt in 0..32u64 {
         let s = seed
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = sample_joint(problem, &mut rng) {
+        if let Some(jp) = sample_joint(&refs, problem.cluster, &mut rng) {
             if !ev.is_seen(&jp) {
                 return Some(jp);
             }
         }
     }
-    let fallback = fallback_joint(problem);
+    let fallback = fallback_joint(&refs, problem.cluster);
     if ev.is_seen(&fallback) {
         None
     } else {
@@ -644,13 +679,14 @@ fn seed_pool(
     n_random: usize,
     seed: u64,
 ) -> Vec<usize> {
+    let refs = problem.query_refs();
     let mut indices = ev.score(seeds.to_vec());
     let fill = n_random.min(ev.remaining());
     if fill > 0 {
-        indices.extend(ev.score(enumerate_joint(problem, fill, seed)));
+        indices.extend(ev.score(enumerate_joint(&refs, problem.cluster, fill, seed)));
     }
     if ev.evaluated.is_empty() {
-        indices.extend(ev.score(vec![fallback_joint(problem)]));
+        indices.extend(ev.score(vec![fallback_joint(&refs, problem.cluster)]));
     }
     indices
 }
@@ -683,10 +719,10 @@ impl JointPlacementSearch for LocalSearch {
         "local"
     }
 
-    /// Hill climbing with restarts over the cross-query move space:
-    /// exactly the single-query procedure, with [`JointNeighborhood`]
-    /// generating relocations and (cross-query) swaps and occupancy
-    /// maintained incrementally by [`JointPlacement::apply`].
+    /// Hill climbing with restarts over the cross-query move space (see
+    /// [`LocalSearch`]), with [`JointNeighborhood`] generating
+    /// relocations and (cross-query) swaps and occupancy maintained
+    /// incrementally by [`JointPlacement::apply`].
     fn search_joint_seeded(
         &self,
         problem: &JointSearchProblem<'_>,
@@ -703,7 +739,7 @@ impl JointPlacementSearch for LocalSearch {
         let sample = self.sample_size.max(1);
         let mut restarts: u64 = 0;
 
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
+        let n_random = seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
         let mut pool_indices = seed_pool(&mut ev, problem, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&pool_indices) else {
             return ev.finish();
@@ -790,7 +826,7 @@ impl JointPlacementSearch for BeamSearch {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
         let width = self.width.max(1);
 
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, width).saturating_sub(seeds.len());
+        let n_random = seed_count(ev.budget, self.seed_share, width).saturating_sub(seeds.len());
         let scored = seed_pool(&mut ev, problem, seeds, n_random, seed);
         let mut beam = ev.top_of(scored, width);
         let mut states: Vec<VisitState> = Vec::new();
@@ -831,86 +867,6 @@ impl JointPlacementSearch for BeamSearch {
             let mut pool = beam;
             pool.extend(scored);
             beam = ev.top_of(pool, width);
-        }
-        ev.finish()
-    }
-}
-
-impl JointPlacementSearch for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    /// Simulated annealing over the cross-query move space: one chain,
-    /// Metropolis acceptance on the relative total-cost delta (with the
-    /// same viability-class shift as the single-query strategy), restart
-    /// on exhaustion. Best-ever-scored is returned.
-    fn search_joint_seeded(
-        &self,
-        problem: &JointSearchProblem<'_>,
-        scorer: &dyn Scorer,
-        seeds: &[JointPlacement],
-        budget: usize,
-        seed: u64,
-    ) -> JointOptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = JointEvaluator::new(problem, scorer, budget, threads);
-        let refs = problem.query_refs();
-        let jnb = JointNeighborhood::new(&refs, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
-
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
-        let scored = seed_pool(&mut ev, problem, seeds, n_random, seed);
-        let Some(mut current) = ev.best_in(&scored) else {
-            return ev.finish();
-        };
-
-        let mut temp = self.initial_temp.max(1e-6);
-        let mut restarts: u64 = 0;
-        let mut states: Vec<VisitState> = Vec::new();
-        let mut moves_buf: Vec<JointMove> = Vec::new();
-        let mut flat_buf: Vec<HostId> = Vec::new();
-        while ev.remaining() > 0 {
-            let jp = ev.evaluated[current].placement.clone();
-            enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, threads, &mut ev.stats);
-            moves_buf.shuffle(&mut rng);
-            let mut next: Option<JointPlacement> = None;
-            for &mv in &moves_buf {
-                jp.flattened_after(mv, &mut flat_buf);
-                if !ev.is_seen_flat(&flat_buf) {
-                    next = Some(jp.apply(mv));
-                    break;
-                }
-            }
-            match next {
-                Some(np) => {
-                    let scored = ev.score(vec![np]);
-                    let Some(cand) = scored.first().copied() else {
-                        break;
-                    };
-                    let accept = ranking::anneal_accepts(
-                        (ev.evaluated[current].all_viable(), ev.key(current)),
-                        (ev.evaluated[cand].all_viable(), ev.key(cand)),
-                        temp,
-                        &mut rng,
-                    );
-                    if accept {
-                        current = cand;
-                    }
-                }
-                None => {
-                    restarts += 1;
-                    let Some(np) = fresh_joint_sample(problem, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![np]);
-                    let Some(idx) = scored.first().copied() else {
-                        break;
-                    };
-                    current = idx;
-                }
-            }
-            temp = (temp * self.cooling.clamp(0.0, 1.0)).max(1e-4);
         }
         ev.finish()
     }
@@ -1107,18 +1063,21 @@ pub fn replan(
 
     let (start, repaired) = repair_joint(problem, incumbent, &dead);
 
-    let mut ev = ReplanEvaluator {
-        scorer: JointScorer::new(problem, scorer),
-        migration: cfg.migration,
-        // NaN-safe clamp: f64::max returns the non-NaN operand.
-        horizon: cfg.horizon_epochs.max(1.0),
-        refs: refs.clone(),
-        incumbent,
-        budget: cfg.budget.max(1),
-        seen: HashSet::new(),
-        evaluated: Vec::new(),
-        migration_ms: Vec::new(),
-    };
+    // The ranking charges each candidate its modeled migration cost from
+    // the *original* incumbent (not the repaired baseline — the system
+    // migrates from what is actually running), amortized over the
+    // horizon: the steady cost recurs every epoch while the migration is
+    // paid once, so a plan expected to run for `horizon` epochs is
+    // charged `migration / horizon` per epoch. Zero stays zero, so the
+    // incumbent's key is horizon-invariant. For a maximized metric
+    // (throughput) the charge acts as a switching penalty in the same
+    // signed space.
+    // NaN-safe clamp: f64::max returns the non-NaN operand.
+    let horizon = cfg.horizon_epochs.max(1.0);
+    let migration_ms = |jp: &JointPlacement| cfg.migration.cost_ms(&refs, problem.cluster, incumbent, jp);
+    let penalty = |jp: &JointPlacement| migration_ms(jp) / horizon;
+    let mut ev = JointEvaluator::new(problem, scorer, cfg.budget, 1);
+    ev.penalty = Some(&penalty);
 
     // The do-nothing (or forced-repair) baseline is always scored first;
     // best-ever-scored selection below makes it the floor.
@@ -1179,7 +1138,7 @@ pub fn replan(
         repaired,
         steady_cost: chosen.total_cost(),
         viable: chosen.all_viable(),
-        migration_cost_ms: ev.migration_ms[best],
+        migration_cost_ms: migration_ms(&chosen.placement),
         incumbent_steady_cost: ev.evaluated[0].total_cost(),
         incumbent_viable: ev.evaluated[0].all_viable(),
     })
@@ -1203,95 +1162,6 @@ impl std::fmt::Display for ReplanError {
 }
 
 impl std::error::Error for ReplanError {}
-
-/// Replan bookkeeping: like [`JointEvaluator`], but the ranking key adds
-/// each candidate's modeled migration cost from the *original* incumbent
-/// (not the repaired baseline — the system migrates from what is
-/// actually running).
-struct ReplanEvaluator<'a> {
-    scorer: JointScorer<'a>,
-    migration: MigrationCostModel,
-    /// Amortization horizon, epochs (clamped ≥ 1).
-    horizon: f64,
-    refs: Vec<&'a Query>,
-    incumbent: &'a JointPlacement,
-    budget: usize,
-    seen: HashSet<Vec<HostId>>,
-    evaluated: Vec<JointCandidateEvaluation>,
-    migration_ms: Vec<f64>,
-}
-
-impl ReplanEvaluator<'_> {
-    fn remaining(&self) -> usize {
-        self.budget - self.evaluated.len()
-    }
-
-    fn is_seen(&self, jp: &JointPlacement) -> bool {
-        self.seen.contains(&jp.flattened())
-    }
-
-    fn score(&mut self, candidates: Vec<JointPlacement>) -> Vec<usize> {
-        let mut fresh: Vec<JointPlacement> = Vec::new();
-        for jp in candidates {
-            if fresh.len() >= self.remaining() {
-                break;
-            }
-            let key = jp.flattened();
-            if self.seen.contains(&key) {
-                continue;
-            }
-            self.seen.insert(key);
-            fresh.push(jp);
-        }
-        if fresh.is_empty() {
-            return Vec::new();
-        }
-        let start = self.evaluated.len();
-        for jp in &fresh {
-            self.migration_ms.push(
-                self.migration
-                    .cost_ms(&self.refs, self.scorer.cluster, self.incumbent, jp),
-            );
-        }
-        self.evaluated.extend(self.scorer.evaluate(&fresh));
-        (start..self.evaluated.len()).collect()
-    }
-
-    /// The replan objective: signed steady-state cost plus the
-    /// horizon-amortized migration cost. Both are latency-shaped
-    /// milliseconds for the default metric; for a maximized metric
-    /// (throughput) the migration term acts as a switching penalty in
-    /// the same signed space. The steady cost recurs every epoch while
-    /// the migration is paid once, so a plan expected to run for
-    /// `horizon` epochs is charged `migration / horizon` per epoch —
-    /// zero stays zero, so the incumbent's key is horizon-invariant.
-    fn key(&self, i: usize) -> f64 {
-        let total = self.evaluated[i].total_cost();
-        let signed = if self.scorer.maximize { -total } else { total };
-        signed + self.migration_ms[i] / self.horizon
-    }
-
-    fn better(&self, a: usize, b: usize) -> bool {
-        ranking::better(
-            self.evaluated[a].all_viable(),
-            self.key(a),
-            self.evaluated[b].all_viable(),
-            self.key(b),
-        )
-    }
-
-    fn best_in(&self, indices: &[usize]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for &i in indices {
-            best = match best {
-                None => Some(i),
-                Some(b) if self.better(i, b) => Some(i),
-                keep => keep,
-            };
-        }
-        best
-    }
-}
 
 /// Moves the incumbent off dead hosts with as little churn as possible:
 /// dead-hosted operators go to the strongest live host; when that edit
@@ -1347,17 +1217,18 @@ fn repair_joint(
 /// host, for replan restarts.
 fn fresh_live_sample(
     problem: &JointSearchProblem<'_>,
-    ev: &ReplanEvaluator<'_>,
+    ev: &JointEvaluator<'_>,
     dead: &HashSet<HostId>,
     seed: u64,
     round: u64,
 ) -> Option<JointPlacement> {
+    let refs = problem.query_refs();
     for attempt in 0..32u64 {
         let s = seed
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = sample_joint(problem, &mut rng) {
+        if let Some(jp) = sample_joint(&refs, problem.cluster, &mut rng) {
             if jp.flattened().iter().all(|h| !dead.contains(h)) && !ev.is_seen(&jp) {
                 return Some(jp);
             }
@@ -1523,7 +1394,6 @@ mod tests {
             &RandomEnumeration as &dyn JointPlacementSearch,
             &BeamSearch::default(),
             &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
         ] {
             let budget = 12;
             let a = strategy.search_joint(&problem, &scorer, budget, 7);
@@ -1565,7 +1435,7 @@ mod tests {
             featurization: Featurization::Full,
             interference: None,
         };
-        let seed_jp = fallback_joint(&problem);
+        let seed_jp = fallback_joint(&problem.query_refs(), &cluster);
         let js = JointScorer::new(&problem, &scorer);
         let seed_eval = js.evaluate(std::slice::from_ref(&seed_jp));
         let r = LocalSearch::default().search_joint_seeded(&problem, &scorer, std::slice::from_ref(&seed_jp), 10, 3);

@@ -24,15 +24,15 @@
 //!   combination (§IV-A);
 //! * [`optimizer`] — heuristic placement enumeration (Fig. 5) and
 //!   cost-based candidate selection (Fig. 4);
-//! * [`search`] — the pluggable placement-search subsystem: the
-//!   [`search::Scorer`] backend abstraction (direct ensembles or the
-//!   serving layer) and the [`search::PlacementSearch`] strategies
-//!   (random enumeration, beam search, hill climbing with restarts,
-//!   simulated annealing);
-//! * [`joint`] — multi-query co-placement: contention-aware joint
-//!   scoring of several queries on one shared cluster and the
-//!   [`joint::JointPlacementSearch`] strategies over the cross-query
-//!   move space;
+//! * [`search`] — placement search: the [`search::Scorer`] backend
+//!   abstraction (direct ensembles or the serving layer), the strategies
+//!   (random enumeration, beam search, hill climbing with restarts) and
+//!   the single-query entry point [`search::PlacementSearch`], which
+//!   runs a strategy as a one-query joint search;
+//! * [`joint`] — multi-query co-placement and the one search engine:
+//!   contention-aware joint scoring of several queries on one shared
+//!   cluster, the [`joint::JointPlacementSearch`] strategies over the
+//!   cross-query move space, and migration-aware `replan`;
 //! * [`qerror`] — the q-error / accuracy evaluation metrics of §VII;
 //! * [`reorder`] — cost-based operator reordering (the extension the
 //!   paper's outlook proposes);
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::qerror::{accuracy, q_error, QErrorSummary};
     pub use crate::search::{
         BeamSearch, EnsembleScorer, LocalSearch, PlacementScores, PlacementSearch, RandomEnumeration, Scorer,
-        SearchProblem, SearchStats, SimulatedAnnealing,
+        SearchProblem, SearchStats,
     };
     pub use crate::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
     pub use costream_dsps::{

@@ -10,60 +10,22 @@
 
 use crate::ensemble::Ensemble;
 use crate::graph::Featurization;
+use crate::joint::enumerate_joint;
 use crate::search::{EnsembleScorer, PlacementSearch, RandomEnumeration, SearchProblem};
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
-use costream_query::placement::{colocate_on_strongest, sample_valid, Placement};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
+use costream_query::placement::Placement;
 
 /// Enumerates up to `k` *distinct* placement candidates satisfying the
-/// rules of Fig. 5. The first candidate doubles as the "initial heuristic
-/// placement" baseline of Exp 2.
-///
-/// Sampling attempts run in parallel: every attempt draws from its own
-/// seed (derived deterministically from `seed` and the attempt index), and
-/// results are merged in attempt order, so the output is identical across
-/// runs and thread counts.
+/// rules of Fig. 5 — the one-query case of the search engine's joint
+/// enumerator, so the output is a pure function of the arguments. The
+/// first candidate doubles as the "initial heuristic placement" baseline
+/// of Exp 2; the result is never empty (the co-located fallback fills in).
 pub fn enumerate_candidates(query: &Query, cluster: &Cluster, k: usize, seed: u64) -> Vec<Placement> {
-    // Generous attempt budget: distinct valid placements can be scarce on
-    // small clusters. Attempts run in rounds of 2k so the common case
-    // (most samples valid and distinct) stops after one round instead of
-    // burning the whole budget.
-    let attempts = k * 20;
-    let round = (2 * k).max(1);
-    let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut next_attempt = 0usize;
-    while out.len() < k && next_attempt < attempts {
-        let upto = (next_attempt + round).min(attempts);
-        let sampled: Vec<Option<Placement>> = (next_attempt..upto)
-            .into_par_iter()
-            .map(|a| {
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-                sample_valid(query, cluster, &mut rng)
-            })
-            .collect();
-        next_attempt = upto;
-        for p in sampled.into_iter().flatten() {
-            if out.len() >= k {
-                break;
-            }
-            // Membership is checked through the borrowed slice key, so a
-            // rejected duplicate allocates nothing; only genuinely new
-            // assignments are copied into the set.
-            if !seen.contains(p.assignment()) {
-                seen.insert(p.assignment().to_vec());
-                out.push(p);
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push(colocate_on_strongest(query, cluster));
-    }
-    out
+    enumerate_joint(&[query], cluster, k, seed)
+        .iter()
+        .map(|jp| jp.query(0).clone())
+        .collect()
 }
 
 /// Cost predictions for one placement candidate.

@@ -1,51 +1,40 @@
-//! Pluggable placement search (§V, Figs. 4–5).
+//! Placement search (§V, Figs. 4–5): one engine, three strategies.
 //!
-//! The seed-era optimizer had exactly one strategy baked in: sample `k`
-//! random valid placements, featurize each from scratch, score once, pick
-//! the best. This module splits that monolith into three swappable parts:
+//! The paper's optimizer enumerates valid placements, scores them with
+//! the cost model, applies the success/backpressure sanity filter and
+//! keeps the best. This module holds the parts every search shares:
 //!
 //! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
 //!   calls the three ensembles directly; `costream-serve` provides a
 //!   `ScoreClient`-backed implementation so *concurrent* optimizer runs
 //!   coalesce their candidate batches through the serving layer;
-//! * a [`PlacementSearch`] strategy — how the placement space is explored
-//!   under a fixed scoring budget. [`RandomEnumeration`] is the paper's
-//!   baseline (and the seed behavior, bit for bit), [`BeamSearch`] and
-//!   [`LocalSearch`] walk the move/swap neighborhood of
-//!   `costream_query::placement::neighborhood` with incremental validity
-//!   checks;
-//! * shared bookkeeping (the internal evaluator) — budget accounting,
-//!   duplicate suppression, delta re-featurization through a
-//!   [`GraphTemplate`] (operator features are computed once per search,
-//!   not once per candidate), and the Fig. 4 sanity-filter selection rule.
+//! * the strategies — [`RandomEnumeration`] (the paper's baseline),
+//!   [`BeamSearch`] and [`LocalSearch`] (explore-then-refine walks over
+//!   the relocate/swap neighborhood with incremental validity checks);
+//! * [`PlacementSearch`], the single-query entry point.
+//!
+//! There is one search engine, the joint one of [`crate::joint`]: each
+//! strategy is implemented once, as a [`JointPlacementSearch`] over N
+//! queries sharing a cluster, and a single-query search *is* a joint
+//! search over one query (no co-residents, so no contention pricing).
+//! Budget accounting, duplicate suppression, template-based delta
+//! featurization and the Fig. 4 selection rule live in that engine's one
+//! candidate evaluator.
 //!
 //! Every strategy is deterministic for fixed inputs and seed, independent
 //! of thread counts and of how the scorer batches its requests: candidate
 //! generation order is fixed, all randomness flows through seeded
-//! [`StdRng`] streams, and the prediction kernels are batch-composition
+//! `StdRng` streams, and the prediction kernels are batch-composition
 //! invariant (a guarantee the serving layer's golden tests pin down).
 
 use crate::ensemble::Ensemble;
-use crate::graph::{Featurization, GraphTemplate, JointGraph};
-use crate::optimizer::{enumerate_candidates, CandidateEvaluation, OptimizationResult};
+use crate::graph::{Featurization, JointGraph};
+use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
+use crate::optimizer::{CandidateEvaluation, OptimizationResult};
 use costream_dsps::CostMetric;
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
-use costream_query::placement::neighborhood::{Move, Neighborhood, VisitState};
-use costream_query::placement::Placement;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::collections::HashSet;
-use std::time::Instant;
-
-/// Environment knob overriding the worker fan-out of parallel candidate
-/// evaluation (see [`resolve_threads`]). `1` forces the serial walk;
-/// larger values take the chunked parallel path (workers are still
-/// bounded by the machine's cores). Strategy structs' `threads` field
-/// wins over the environment.
-pub const SEARCH_THREADS_ENV: &str = "COSTREAM_SEARCH_THREADS";
 
 /// Cluster width at which search defaults to parallel neighborhood
 /// enumeration and featurization. Below it the serial walk wins: per-call
@@ -54,28 +43,20 @@ pub const SEARCH_THREADS_ENV: &str = "COSTREAM_SEARCH_THREADS";
 const WIDE_CLUSTER_THRESHOLD: usize = 64;
 
 /// Resolves the worker fan-out for parallel candidate evaluation: an
-/// explicit strategy override wins, then [`SEARCH_THREADS_ENV`], then a
-/// width heuristic (all cores at [`WIDE_CLUSTER_THRESHOLD`]+ hosts,
-/// serial below). Search results are bitwise identical for every
-/// resolution — the fan-out only changes wall time.
+/// explicit strategy override wins, then a width heuristic (all cores at
+/// [`WIDE_CLUSTER_THRESHOLD`]+ hosts, serial below). Search results are
+/// bitwise identical for every resolution — the fan-out only changes
+/// wall time.
 pub(crate) fn resolve_threads(explicit: Option<usize>, cluster_hosts: usize) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var(SEARCH_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    if cluster_hosts >= WIDE_CLUSTER_THRESHOLD {
-        rayon::current_num_threads().max(1)
-    } else {
-        1
+    match explicit {
+        Some(n) => n.max(1),
+        None if cluster_hosts >= WIDE_CLUSTER_THRESHOLD => rayon::current_num_threads().max(1),
+        None => 1,
     }
 }
 
-/// Profiling counters of one search run, threaded through every strategy
-/// (single-query and joint) and exposed on
+/// Profiling counters of one search run, filled by the engine's
+/// candidate evaluator and exposed on
 /// [`OptimizationResult::stats`](crate::optimizer::OptimizationResult) /
 /// [`JointOptimizationResult`](crate::joint::JointOptimizationResult).
 /// Where search wall time goes at wide cluster widths: move generation
@@ -111,8 +92,8 @@ impl SearchStats {
         self.moves_generated + self.moves_rejected
     }
 
-    /// Folds another run's counters into this one (used by the joint
-    /// evaluator to combine per-query enumeration stats).
+    /// Folds another run's counters into this one (for aggregating the
+    /// stats of many runs).
     pub fn absorb(&mut self, other: &SearchStats) {
         self.moves_generated += other.moves_generated;
         self.moves_rejected += other.moves_rejected;
@@ -228,309 +209,63 @@ pub struct SearchProblem<'a> {
     pub featurization: Featurization,
 }
 
-/// A search strategy over the placement space.
+/// Single-query placement search, provided for every
+/// [`JointPlacementSearch`] strategy.
 ///
 /// `budget` bounds the number of candidates *scored* (the unit the
 /// strategies are compared at — scoring dominates search cost); every
 /// strategy returns the best candidate it scored, so more budget can
-/// never make the predicted outcome worse.
-pub trait PlacementSearch: Sync {
-    /// Strategy name for logs and benchmarks.
-    fn name(&self) -> &'static str;
-
+/// never make the predicted outcome worse. The strategy's
+/// [`JointPlacementSearch::name`] names it in logs and benchmarks.
+pub trait PlacementSearch: JointPlacementSearch {
     /// Runs the search, scoring at most `budget.max(1)` candidates
     /// through `scorer`. Deterministic for fixed inputs and seed.
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult;
 }
 
-/// Shared strategy bookkeeping: budget accounting, duplicate suppression,
-/// template-based delta featurization and the Fig. 4 selection rule.
-struct Evaluator<'a> {
-    scorer: &'a dyn Scorer,
-    template: GraphTemplate,
-    maximize: bool,
-    budget: usize,
-    threads: usize,
-    stats: SearchStats,
-    seen: HashSet<Vec<usize>>,
-    evaluated: Vec<CandidateEvaluation>,
-}
-
-impl<'a> Evaluator<'a> {
-    fn new(problem: &SearchProblem<'_>, scorer: &'a dyn Scorer, budget: usize, threads: usize) -> Self {
-        Evaluator {
-            scorer,
-            template: GraphTemplate::new(problem.query, problem.cluster, problem.est_sels, problem.featurization),
-            maximize: scorer.target_metric() == CostMetric::Throughput,
-            budget: budget.max(1),
-            threads: threads.max(1),
-            stats: SearchStats {
-                threads: threads.max(1) as u64,
-                ..SearchStats::default()
-            },
-            seen: HashSet::new(),
-            evaluated: Vec::new(),
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.budget - self.evaluated.len()
-    }
-
-    fn is_seen(&self, p: &Placement) -> bool {
-        self.seen.contains(p.assignment())
-    }
-
-    /// Duplicate probe against a raw assignment, so strategies can test a
-    /// candidate edit without materializing the placement.
-    fn is_seen_slice(&self, assignment: &[usize]) -> bool {
-        self.seen.contains(assignment)
-    }
-
-    /// Scores the not-yet-seen placements of `candidates` (in order, up
-    /// to the remaining budget) in one batch. Returns the indices of the
-    /// newly evaluated candidates.
-    fn score(&mut self, candidates: Vec<Placement>) -> Vec<usize> {
-        let mut fresh: Vec<Placement> = Vec::new();
-        for p in candidates {
-            if fresh.len() >= self.remaining() {
-                break;
-            }
-            if self.seen.contains(p.assignment()) {
-                continue;
-            }
-            self.seen.insert(p.assignment().to_vec());
-            fresh.push(p);
-        }
-        if fresh.is_empty() {
-            return Vec::new();
-        }
-        let t_feat = Instant::now();
-        // Featurization is a pure per-candidate function of the template,
-        // so chunking it across workers preserves results bitwise.
-        let graphs: Vec<JointGraph> = if self.threads > 1 && fresh.len() > 1 {
-            use rayon::prelude::*;
-            fresh.par_iter().map(|p| self.template.instantiate(p)).collect()
-        } else {
-            fresh.iter().map(|p| self.template.instantiate(p)).collect()
+/// A single-query search is the joint search over one query: with no
+/// co-resident queries no host is contended, so every candidate is
+/// featurized from the plain template and scored exactly as alone.
+impl<T: JointPlacementSearch> PlacementSearch for T {
+    fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
+        let queries = [JointQuery {
+            query: problem.query,
+            est_sels: problem.est_sels,
+        }];
+        let joint = JointSearchProblem {
+            queries: &queries,
+            cluster: problem.cluster,
+            featurization: problem.featurization,
+            interference: None,
         };
-        self.stats.featurize_ns += t_feat.elapsed().as_nanos() as u64;
-        let t_score = Instant::now();
-        let scores = self.scorer.score_batch(graphs);
-        self.stats.score_ns += t_score.elapsed().as_nanos() as u64;
-        self.stats.score_batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(fresh.len() as u64);
-        self.stats.candidates_scored += fresh.len() as u64;
-        assert_eq!(scores.len(), fresh.len(), "scorer must return one result per graph");
-        let start = self.evaluated.len();
-        for (placement, s) in fresh.into_iter().zip(scores) {
-            // Same contract the pre-search optimizer enforced: ranking
-            // NaNs would silently pick an arbitrary placement (and
-            // `better`/`top_of` would disagree on their order).
-            assert!(
-                s.cost.is_finite() && s.success.is_finite() && s.backpressure.is_finite(),
-                "finite predictions"
-            );
-            self.evaluated.push(CandidateEvaluation {
-                placement,
-                predicted_cost: s.cost,
-                predicted_success: s.success,
-                predicted_backpressure: s.backpressure,
-            });
-        }
-        (start..self.evaluated.len()).collect()
-    }
-
-    fn viable(e: &CandidateEvaluation) -> bool {
-        e.viable()
-    }
-
-    /// Signed cost key: lower is always better.
-    fn key(&self, i: usize) -> f64 {
-        if self.maximize {
-            -self.evaluated[i].predicted_cost
-        } else {
-            self.evaluated[i].predicted_cost
-        }
-    }
-
-    /// Strict "candidate `a` beats candidate `b`" (see [`ranking::better`]).
-    fn better(&self, a: usize, b: usize) -> bool {
-        ranking::better(
-            Self::viable(&self.evaluated[a]),
-            self.key(a),
-            Self::viable(&self.evaluated[b]),
-            self.key(b),
-        )
-    }
-
-    /// The best of `indices` (first wins ties); `None` when empty.
-    fn best_in(&self, indices: &[usize]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for &i in indices {
-            best = match best {
-                None => Some(i),
-                Some(b) if self.better(i, b) => Some(i),
-                keep => keep,
-            };
-        }
-        best
-    }
-
-    /// The `k` best of `indices`, best first (stable: earlier-scored
-    /// candidates win ties).
-    fn top_of(&self, indices: Vec<usize>, k: usize) -> Vec<usize> {
-        ranking::top_of(indices, k, |i| Self::viable(&self.evaluated[i]), |i| self.key(i))
-    }
-
-    /// Final Fig. 4 selection: best viable candidate, falling back to the
-    /// least-bad overall when the sanity filters removed everything.
-    fn finish(self) -> OptimizationResult {
-        assert!(!self.evaluated.is_empty(), "search must score at least one candidate");
-        let all: Vec<usize> = (0..self.evaluated.len()).collect();
-        let best = self.best_in(&all).expect("non-empty");
-        let all_filtered = !self.evaluated.iter().any(Self::viable);
+        let r = self.search_joint(&joint, scorer, budget, seed);
         OptimizationResult {
-            best: self.evaluated[best].placement.clone(),
-            initial: self.evaluated[0].placement.clone(),
-            candidates: self.evaluated,
-            all_filtered,
-            stats: self.stats,
+            best: r.best.query(0).clone(),
+            initial: r.initial.query(0).clone(),
+            candidates: r
+                .candidates
+                .iter()
+                .map(|e| {
+                    let s = e.per_query[0];
+                    CandidateEvaluation {
+                        placement: e.placement.query(0).clone(),
+                        predicted_cost: s.cost,
+                        predicted_success: s.success,
+                        predicted_backpressure: s.backpressure,
+                    }
+                })
+                .collect(),
+            all_filtered: r.all_filtered,
+            stats: r.stats,
         }
     }
 }
 
-/// One strategy round's neighborhood enumeration: recompute the rule ③
-/// state and fill `buf` with the full move list, serial or chunked across
-/// workers by `threads` (same bits either way), folding counters and wall
-/// time into `stats`.
-fn enumerate_neighbors(
-    nb: &Neighborhood<'_>,
-    p: &Placement,
-    state: &mut VisitState,
-    buf: &mut Vec<Move>,
-    threads: usize,
-    stats: &mut SearchStats,
-) {
-    let t0 = Instant::now();
-    nb.visit_state_into(p, state);
-    let counts = if threads > 1 {
-        nb.neighbors_into_par(p, state, buf)
-    } else {
-        nb.neighbors_into(p, state, buf)
-    };
-    stats.validity_ns += t0.elapsed().as_nanos() as u64;
-    stats.moves_generated += counts.generated;
-    stats.moves_rejected += counts.rejected;
-}
-
-/// Ranking and acceptance primitives shared by the single-query
-/// evaluator and the joint evaluator of [`crate::joint`], so the Fig. 4
-/// selection semantics and the annealing acceptance rule live in exactly
-/// one place and the two search spaces cannot silently diverge.
-pub(crate) mod ranking {
-    use rand::rngs::StdRng;
-    use rand::Rng;
-
-    /// Strict "candidate `a` beats candidate `b`": viable candidates
-    /// rank before filtered ones, then by signed cost key (lower is
-    /// better). Ties are *not* better, so a first-encountered candidate
-    /// wins them — deterministic because candidate generation order is.
-    pub(crate) fn better(va: bool, ka: f64, vb: bool, kb: f64) -> bool {
-        if va != vb {
-            return va;
-        }
-        ka < kb
-    }
-
-    /// Sorts candidate indices best-first (viable before filtered, then
-    /// signed key, then earlier-scored wins ties) and keeps the best
-    /// `k.max(1)`.
-    pub(crate) fn top_of(
-        mut indices: Vec<usize>,
-        k: usize,
-        viable: impl Fn(usize) -> bool,
-        key: impl Fn(usize) -> f64,
-    ) -> Vec<usize> {
-        indices.sort_by(|&a, &b| {
-            viable(b)
-                .cmp(&viable(a))
-                .then(key(a).total_cmp(&key(b)))
-                .then(a.cmp(&b))
-        });
-        indices.truncate(k.max(1));
-        indices
-    }
-
-    /// Number of exploration seeds an explore-then-refine strategy
-    /// spends: `share` of `budget`, floored at `floor` (strategy-specific
-    /// minimum, e.g. the beam width) and capped so at least one
-    /// refinement candidate remains.
-    pub(crate) fn seed_count(budget: usize, share: f64, floor: usize) -> usize {
-        ((budget as f64 * share.clamp(0.0, 1.0)) as usize)
-            .max(floor)
-            .min(budget.saturating_sub(1).max(1))
-    }
-
-    /// The annealing move rule (single-query and joint): improvements
-    /// under [`better`] always move; worsenings move with the Metropolis
-    /// probability on the relative cost delta, shifted by a fixed
-    /// penalty when the move leaves the Fig. 4-viable region. (A move
-    /// *into* the viable region is always an improvement under
-    /// [`better`], so no symmetric bonus exists.) `cur` and `cand` are
-    /// `(viable, signed cost key)` pairs.
-    pub(crate) fn anneal_accepts(cur: (bool, f64), cand: (bool, f64), temp: f64, rng: &mut StdRng) -> bool {
-        if better(cand.0, cand.1, cur.0, cur.1) {
-            return true;
-        }
-        let dk = cand.1 - cur.1;
-        let scale = cur.1.abs().max(1e-9);
-        let class = if cur.0 && !cand.0 { 1.0 } else { 0.0 };
-        let delta = (dk / scale + class).max(0.0);
-        rng.gen::<f64>() < (-delta / temp.max(1e-6)).exp()
-    }
-}
-
-/// Draws up to one fresh (unseen) valid placement from a seeded stream.
-fn fresh_sample(problem: &SearchProblem<'_>, ev: &Evaluator<'_>, seed: u64, round: u64) -> Option<Placement> {
-    for attempt in 0..32u64 {
-        let s = seed
-            ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
-        let mut rng = StdRng::seed_from_u64(s);
-        if let Some(p) = costream_query::placement::sample_valid(problem.query, problem.cluster, &mut rng) {
-            if !ev.is_seen(&p) {
-                return Some(p);
-            }
-        }
-    }
-    let fallback = costream_query::placement::colocate_on_strongest(problem.query, problem.cluster);
-    if ev.is_seen(&fallback) {
-        None
-    } else {
-        Some(fallback)
-    }
-}
-
-/// The paper's baseline strategy (and the seed-era `optimize()` behavior):
-/// enumerate `budget` distinct random valid placements under the Fig. 5
-/// rules, score them all once, pick the best.
+/// The paper's baseline strategy: enumerate `budget` distinct random
+/// valid placements under the Fig. 5 rules, score them all once, pick
+/// the best.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RandomEnumeration;
-
-impl PlacementSearch for RandomEnumeration {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(None, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
-        let candidates = enumerate_candidates(problem.query, problem.cluster, ev.budget, seed);
-        ev.score(candidates);
-        ev.finish()
-    }
-}
 
 /// Beam search over the move/swap neighborhood: spend `seed_share` of the
 /// budget on random-valid exploration (the same stream the baseline
@@ -550,9 +285,8 @@ pub struct BeamSearch {
     /// seeds and at least one refinement round).
     pub seed_share: f64,
     /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
+    /// `None` applies the cluster-width heuristic, `Some(1)` pins the
+    /// serial walk. Results are bitwise identical for every setting.
     pub threads: Option<usize>,
 }
 
@@ -564,60 +298,6 @@ impl Default for BeamSearch {
             seed_share: 0.5,
             threads: None,
         }
-    }
-}
-
-impl PlacementSearch for BeamSearch {
-    fn name(&self) -> &'static str {
-        "beam"
-    }
-
-    fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
-        let width = self.width.max(1);
-
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, width);
-        let seeds = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
-        let scored = ev.score(seeds);
-        let mut beam = ev.top_of(scored, width);
-
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            let mut expansion: Vec<Placement> = Vec::new();
-            for &bi in &beam {
-                let p = ev.evaluated[bi].placement.clone();
-                enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
-                moves_buf.shuffle(&mut rng);
-                let mut taken = 0usize;
-                for &mv in moves_buf.iter() {
-                    if taken >= self.expand.max(1) {
-                        break;
-                    }
-                    mv.apply_into(&p, &mut edit_buf);
-                    if ev.is_seen_slice(&edit_buf) || expansion.iter().any(|e| e.assignment() == edit_buf.as_slice()) {
-                        continue;
-                    }
-                    expansion.push(Placement::new(edit_buf.clone()));
-                    taken += 1;
-                }
-            }
-            if expansion.is_empty() {
-                break;
-            }
-            let scored = ev.score(expansion);
-            if scored.is_empty() {
-                break;
-            }
-            let mut pool = beam;
-            pool.extend(scored);
-            beam = ev.top_of(pool, width);
-        }
-        ev.finish()
     }
 }
 
@@ -637,9 +317,8 @@ pub struct LocalSearch {
     /// keep at least one seed and at least one refinement round).
     pub seed_share: f64,
     /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
+    /// `None` applies the cluster-width heuristic, `Some(1)` pins the
+    /// serial walk. Results are bitwise identical for every setting.
     pub threads: Option<usize>,
 }
 
@@ -650,209 +329,6 @@ impl Default for LocalSearch {
             seed_share: 0.5,
             threads: None,
         }
-    }
-}
-
-impl PlacementSearch for LocalSearch {
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
-    fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
-        let sample = self.sample_size.max(1);
-        let mut restarts: u64 = 0;
-
-        // Exploration pool, drawn from the same seeded stream the
-        // baseline enumerates (the first pool member is therefore the
-        // "initial heuristic placement" of the other strategies too).
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
-        let mut pool_indices = ev.score(pool);
-        let Some(mut current) = ev.best_in(&pool_indices) else {
-            return ev.finish();
-        };
-        // Restart order: best pool members first.
-        pool_indices = ev.top_of(pool_indices, usize::MAX);
-        let mut next_pool = 0usize;
-        let mut expanded: HashSet<usize> = HashSet::new();
-
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            expanded.insert(current);
-            let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
-            moves_buf.shuffle(&mut rng);
-            let mut candidates: Vec<Placement> = Vec::new();
-            for &mv in moves_buf.iter() {
-                if candidates.len() >= sample {
-                    break;
-                }
-                mv.apply_into(&p, &mut edit_buf);
-                if !ev.is_seen_slice(&edit_buf) {
-                    candidates.push(Placement::new(edit_buf.clone()));
-                }
-            }
-
-            let mut next: Option<usize> = None;
-            if !candidates.is_empty() {
-                let scored = ev.score(candidates);
-                if let Some(best) = ev.best_in(&scored) {
-                    if ev.better(best, current) {
-                        next = Some(best);
-                    }
-                }
-            }
-            match next {
-                Some(idx) => current = idx,
-                None => {
-                    // Local optimum (or neighborhood exhausted): restart
-                    // from the best unexpanded pool member, then from
-                    // fresh random placements once the pool is spent.
-                    while next_pool < pool_indices.len() && expanded.contains(&pool_indices[next_pool]) {
-                        next_pool += 1;
-                    }
-                    if next_pool < pool_indices.len() {
-                        current = pool_indices[next_pool];
-                        next_pool += 1;
-                        continue;
-                    }
-                    restarts += 1;
-                    let Some(p) = fresh_sample(problem, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![p]);
-                    let Some(idx) = scored.first().copied() else {
-                        break;
-                    };
-                    current = idx;
-                }
-            }
-        }
-        ev.finish()
-    }
-}
-
-/// Simulated annealing: a single chain that always accepts improving
-/// neighbors and accepts *worsening* ones with probability
-/// `exp(-delta / T)` under a geometrically cooling temperature `T` —
-/// early on the walk crosses cost barriers hill climbing cannot, late it
-/// behaves greedily. `delta` is the relative cost worsening (scale-free:
-/// normalized by the current candidate's cost magnitude), shifted by a
-/// fixed penalty when the move leaves the Fig. 4-viable region (moves
-/// *into* it always count as improvements). The best candidate *ever*
-/// scored is returned (via the shared evaluator), so accepting bad moves
-/// never loses progress. Worth trying over [`LocalSearch`] on wide
-/// clusters whose plateaus stall greedy climbing.
-#[derive(Clone, Copy, Debug)]
-pub struct SimulatedAnnealing {
-    /// Starting temperature, in units of relative cost worsening (0.4
-    /// means an initial ~37% chance of accepting a 40% cost increase).
-    pub initial_temp: f64,
-    /// Geometric cooling factor applied per scored neighbor.
-    pub cooling: f64,
-    /// Fraction of the budget spent seeding the chain with random valid
-    /// placements from the baseline's exact stream (clamped to keep at
-    /// least one seed and at least one annealing step).
-    pub seed_share: f64,
-    /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
-    pub threads: Option<usize>,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            initial_temp: 0.4,
-            cooling: 0.9,
-            seed_share: 0.25,
-            threads: None,
-        }
-    }
-}
-
-impl SimulatedAnnealing {
-    /// Whether the chain moves from candidate `current` to freshly scored
-    /// `cand` at temperature `temp` (see [`ranking::anneal_accepts`]).
-    fn accepts(ev: &Evaluator<'_>, current: usize, cand: usize, temp: f64, rng: &mut StdRng) -> bool {
-        ranking::anneal_accepts(
-            (Evaluator::viable(&ev.evaluated[current]), ev.key(current)),
-            (Evaluator::viable(&ev.evaluated[cand]), ev.key(cand)),
-            temp,
-            rng,
-        )
-    }
-}
-
-impl PlacementSearch for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
-
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
-        let scored = ev.score(pool);
-        let Some(mut current) = ev.best_in(&scored) else {
-            return ev.finish();
-        };
-
-        let mut temp = self.initial_temp.max(1e-6);
-        let mut restarts: u64 = 0;
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
-            moves_buf.shuffle(&mut rng);
-            let mut next: Option<Placement> = None;
-            for &mv in moves_buf.iter() {
-                mv.apply_into(&p, &mut edit_buf);
-                if !ev.is_seen_slice(&edit_buf) {
-                    next = Some(Placement::new(edit_buf.clone()));
-                    break;
-                }
-            }
-            match next {
-                Some(np) => {
-                    let scored = ev.score(vec![np]);
-                    let Some(cand) = scored.first().copied() else {
-                        break;
-                    };
-                    if Self::accepts(&ev, current, cand, temp, &mut rng) {
-                        current = cand;
-                    }
-                }
-                None => {
-                    // Every neighbor already scored: restart the chain
-                    // from a fresh random placement.
-                    restarts += 1;
-                    let Some(p) = fresh_sample(problem, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![p]);
-                    let Some(idx) = scored.first().copied() else {
-                        break;
-                    };
-                    current = idx;
-                }
-            }
-            temp = (temp * self.cooling.clamp(0.0, 1.0)).max(1e-4);
-        }
-        ev.finish()
     }
 }
 
@@ -878,7 +354,6 @@ mod tests {
             &RandomEnumeration as &dyn PlacementSearch,
             &BeamSearch::default(),
             &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
         ] {
             let r = strategy.search(&problem, &scorer, budget, 9);
             assert!(r.candidates.len() <= budget, "{} overspent", strategy.name());
@@ -922,7 +397,6 @@ mod tests {
             &RandomEnumeration as &dyn PlacementSearch,
             &BeamSearch::default(),
             &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
         ] {
             let a = strategy.search(&problem, &scorer, 16, 3);
             let bb = strategy.search(&problem, &scorer, 16, 3);

@@ -87,7 +87,7 @@ pub fn multi_query_workload(seed: u64, n_queries: usize, hosts: usize) -> (Vec<Q
 
 /// A wide cluster with `n` hosts cycling through edge/fog/cloud tiers —
 /// many near-equivalent hosts per tier, the plateau landscape where
-/// greedy hill climbing stalls and annealing/beam carry more hypotheses.
+/// greedy hill climbing stalls and beam search carries more hypotheses.
 pub fn wide_cluster(n: usize) -> Cluster {
     let tiers = [
         Host {

@@ -136,7 +136,6 @@ fn joint_search_is_bitwise_deterministic_across_runs() {
         &RandomEnumeration as &dyn JointPlacementSearch,
         &BeamSearch::default(),
         &LocalSearch::default(),
-        &SimulatedAnnealing::default(),
     ] {
         let a = strategy.search_joint(&problem, &scorer, 12, 5);
         let b = strategy.search_joint(&problem, &scorer, 12, 5);

@@ -73,13 +73,6 @@ fn strategies(threads: Option<usize>) -> Vec<(&'static str, Box<dyn PlacementSea
                 ..Default::default()
             }),
         ),
-        (
-            "anneal",
-            Box::new(SimulatedAnnealing {
-                threads,
-                ..Default::default()
-            }),
-        ),
     ]
 }
 
@@ -136,7 +129,6 @@ proptest! {
             vec![
                 ("beam", BeamSearch { threads, ..Default::default() }.search_joint(&problem, &scorer, budget, seed)),
                 ("local", LocalSearch { threads, ..Default::default() }.search_joint(&problem, &scorer, budget, seed)),
-                ("anneal", SimulatedAnnealing { threads, ..Default::default() }.search_joint(&problem, &scorer, budget, seed)),
             ]
         };
         for ((name, a), (_, b)) in run(Some(1)).iter().zip(&run(Some(4))) {

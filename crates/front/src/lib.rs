@@ -9,9 +9,7 @@
 //!   payload. The vendored serde shim prints floats shortest-roundtrip,
 //!   so an `f64` score survives the wire **bitwise** — the golden tests
 //!   compare served scores against direct in-process prediction with
-//!   `==`. An async (tokio/axum) transport is a feature-gated stub
-//!   ([`async_transport`]) until the build environment has network
-//!   crates.
+//!   `==`.
 //! * **Signature-sharded scoring** (see [`server`]): the front-end runs
 //!   [`FrontConfig::shards`] independent `ScoringService`s and routes
 //!   each request by the hash of its plan signature, so every shard's
@@ -44,9 +42,6 @@ pub mod client;
 pub mod loadgen;
 pub mod server;
 pub mod wire;
-
-#[cfg(feature = "async-transport")]
-pub mod async_transport;
 
 pub use client::{ClientError, FrontClient};
 pub use server::{FrontReport, FrontStats, Frontend};

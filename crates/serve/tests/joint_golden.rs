@@ -72,7 +72,6 @@ fn serve_backed_joint_search_matches_direct_bitwise() {
         &RandomEnumeration as &dyn JointPlacementSearch,
         &BeamSearch::default(),
         &LocalSearch::default(),
-        &SimulatedAnnealing::default(),
     ] {
         let want = strategy.search_joint(&problem, &direct, 10, 4);
         for workers in [1usize, 4] {
